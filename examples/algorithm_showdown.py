@@ -30,7 +30,7 @@ def main() -> None:
             ("match1", {}),
             ("match2", {}),
             ("match3", {}),
-            ("match4", {"i": 3, "check": False}),
+            ("match4", {"iterations": 3, "check": False}),
         ):
             _, report, _ = repro.maximal_matching(
                 lst, algorithm=alg, p=p, **kw
@@ -63,7 +63,7 @@ def main() -> None:
         sub = repro.random_list(m, rng=e)
         row = {"n": f"2^{e}"}
         for alg, kw in (("match1", {}), ("match2", {}),
-                        ("match3", {}), ("match4", {"i": 3,
+                        ("match3", {}), ("match4", {"iterations": 3,
                                                     "check": False})):
             _, report, _ = repro.maximal_matching(
                 sub, algorithm=alg, p=m, **kw

@@ -37,11 +37,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. The headline algorithm: Match4, the paper's optimal
     #    processor-scheduling technique.  p is the simulated processor
-    #    count; i trades partition depth against sweep length.
+    #    count; iterations trades partition depth against sweep length.
     # ------------------------------------------------------------------
     p = n // 16
     matching, report, stats = repro.maximal_matching(
-        lst, algorithm="match4", p=p, i=2
+        lst, algorithm="match4", p=p, iterations=2
     )
     print(f"\nMatch4 on p={p} processors:")
     print(f"  matched {matching.size} of {n - 1} pointers "

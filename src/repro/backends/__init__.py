@@ -48,6 +48,7 @@ __all__ = [
     "backend_names",
     "backend_choices",
     "backends_for",
+    "resolve_auto",
     "engine",
     "ENGINE_LIMIT",
 ]
@@ -55,10 +56,10 @@ __all__ = [
 #: Backend used when ``backend=`` is not given anywhere in the API.
 DEFAULT_BACKEND = "reference"
 
-#: Sentinel backend name: let :mod:`repro.planner` pick the backend
-#: from run history.  Accepted wherever ``backend=`` is — it is not a
-#: registered :class:`Backend` and always resolves to one before any
-#: algorithm runs.
+#: Sentinel backend name: let :func:`resolve_auto` pick the backend.
+#: Accepted wherever ``backend=`` is — it is not a registered
+#: :class:`Backend` and always resolves to one before any algorithm
+#: runs.
 AUTO = "auto"
 
 
@@ -162,6 +163,20 @@ def backends_for(algorithm: str) -> list[str]:
     return sorted(
         name for name, b in BACKENDS.items() if b.supports(algorithm)
     )
+
+
+def resolve_auto(algorithm: str, n: int) -> str:
+    """The concrete backend ``backend="auto"`` means for one call.
+
+    A static table, not a measurement: every backend returns the same
+    answer, and the numpy engine is faster than the reference tier even
+    cold and at small ``n``.  So ``"numpy"`` when the engine implements
+    ``algorithm`` and ``n < ENGINE_LIMIT``, else ``"reference"``.  For
+    a batch, ``n`` is the largest list.
+    """
+    if n < ENGINE_LIMIT and BACKENDS["numpy"].supports(algorithm):
+        return "numpy"
+    return "reference"
 
 
 register_backend(Backend(

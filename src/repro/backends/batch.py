@@ -27,8 +27,8 @@ per-list cost splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -66,9 +66,8 @@ class BatchStats:
 class BatchMatchResult:
     """What one batch run produced: per-list matchings + aggregate cost.
 
-    ``extras`` carries execution provenance that is not part of the
-    result proper — notably ``extras["planner"]`` when the batch ran
-    with ``backend="auto"`` (mirrors ``MatchResult.extras``).
+    ``backend`` is the concrete backend that ran (``"auto"`` already
+    resolved).
     """
 
     matchings: tuple[Matching, ...]
@@ -76,7 +75,6 @@ class BatchMatchResult:
     stats: BatchStats
     backend: str = "numpy"
     algorithm: str = "match4"
-    extras: Mapping[str, Any] = field(default_factory=dict)
 
     def __iter__(self) -> Iterator[Matching]:
         return iter(self.matchings)
@@ -324,11 +322,10 @@ def _resolve_batch_workers(backend: str, workers: int | None) -> int:
 def batch_maximal_matching(
     lists: Sequence[LinkedList | np.ndarray | list],
     *,
-    algorithm: str | None = None,
-    backend: str | None = None,
+    algorithm: str = "match4",
+    backend: str = "numpy",
     p: int = 1,
     workers: int | None = None,
-    policy: Any = None,
     **kwargs: Any,
 ) -> BatchMatchResult:
     """Maximally match many independent lists in one call.
@@ -361,16 +358,13 @@ def batch_maximal_matching(
     falls back to serial execution (``parallel.fallback`` telemetry
     event) rather than erroring.
 
-    ``backend="auto"`` routes the whole batch through
-    :mod:`repro.planner` with the ``"batch"`` profile (one decision per
-    call, not per list — fused execution needs one backend); the
-    decision lands in ``result.extras["planner"]``.  An
-    :class:`~repro.planner.ExecutionPolicy` is accepted as ``policy=``
-    and merged with the kwargs above, exactly as in
-    :func:`repro.maximal_matching`.
+    ``backend="auto"`` resolves once for the whole batch (fused
+    execution needs one backend) through
+    :func:`repro.backends.resolve_auto`, sized by the largest list;
+    ``result.backend`` names the concrete pick.
 
-    Kwargs are normalized exactly as in :func:`repro.maximal_matching`
-    (canonical names, deprecated aliases warned, unknown rejected).
+    Kwargs are validated exactly as in :func:`repro.maximal_matching`
+    (canonical names, unknown rejected).
 
     Returns a :class:`BatchMatchResult` holding one verified
     :class:`Matching` per input list (in order), the aggregate
@@ -381,17 +375,8 @@ def batch_maximal_matching(
         maximal_matching,
         normalize_algorithm_kwargs,
     )
-    from . import AUTO, get_backend
-    from ..planner.policy import resolve_policy
+    from . import AUTO, get_backend, resolve_auto
     from ..parallel.executor import run_sharded_batch
-
-    pol = resolve_policy(
-        policy, algorithm=algorithm, backend=backend, workers=workers,
-        defaults={"algorithm": "match4", "backend": "numpy"},
-    )
-    algorithm = pol.algorithm
-    backend = pol.backend
-    workers = pol.workers
 
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(
@@ -403,19 +388,8 @@ def batch_maximal_matching(
     lls = [lst if isinstance(lst, LinkedList) else LinkedList(lst)
            for lst in lists]
 
-    extras: dict[str, Any] = {}
     if backend == AUTO:
-        from ..planner import decide_for
-
-        decision = decide_for(
-            pol, algorithm=algorithm,
-            n=int(max((l.n for l in lls), default=1)), p=p,
-            profile="batch", num_lists=len(lls),
-        )
-        extras["planner"] = decision.to_extra()
-        backend = decision.backend
-        if workers is None:
-            workers = decision.workers
+        backend = resolve_auto(algorithm, max((l.n for l in lls), default=1))
 
     get_backend(backend)  # validate the name even for the loop path
     eff_workers = _resolve_batch_workers(backend, workers)
@@ -485,5 +459,5 @@ def batch_maximal_matching(
     )
     return BatchMatchResult(
         matchings=matchings, report=report, stats=stats,
-        backend=backend, algorithm=algorithm, extras=extras,
+        backend=backend, algorithm=algorithm,
     )

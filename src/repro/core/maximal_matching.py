@@ -13,18 +13,17 @@ Three registry concerns live here:
   :class:`AlgorithmInfo` records (reference implementation plus
   metadata: paper section, optimality, kwarg schema);
 - kwarg normalization — every caller-facing kwarg is validated against
-  the algorithm's schema in one place, deprecated aliases (Match4's
-  historical ``i=`` for ``iterations=``) are translated with a
-  :class:`DeprecationWarning`, and unknown names are rejected with the
-  valid ones listed;
+  the algorithm's schema in one place, and unknown names are rejected
+  with the valid ones listed;
 - backend dispatch — ``backend="numpy"`` routes to the whole-array
-  engine (:mod:`repro.backends`) when it implements the algorithm.
+  engine (:mod:`repro.backends`) when it implements the algorithm, and
+  ``backend="auto"`` resolves through
+  :func:`repro.backends.resolve_auto`.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
@@ -85,9 +84,6 @@ class AlgorithmInfo:
         (Matching, CostReport, stats)``.
     params:
         Canonical caller-facing kwarg names (``None`` = unchecked).
-    aliases:
-        Deprecated kwarg name -> canonical name; accepted with a
-        :class:`DeprecationWarning`.
     renames:
         Canonical name -> the reference implementation's own parameter
         name, for algorithms registered before the kwarg cleanup.
@@ -101,7 +97,6 @@ class AlgorithmInfo:
     name: str
     fn: Callable[..., tuple[Matching, CostReport, Any]]
     params: frozenset[str] | None = None
-    aliases: Mapping[str, str] = field(default_factory=dict)
     renames: Mapping[str, str] = field(default_factory=dict)
     paper_section: str = ""
     optimal: bool = False
@@ -138,32 +133,14 @@ class AlgorithmRegistry(Mapping[str, AlgorithmInfo]):
     def __len__(self) -> int:
         return len(self._infos)
 
-    def describe(
-        self, *, plan_for: Mapping[str, Any] | None = None,
-    ) -> list[dict[str, Any]]:
+    def describe(self) -> list[dict[str, Any]]:
         """One metadata record per algorithm, sorted by name.
 
         Keys: ``name``, ``backends``, ``paper_section``, ``optimal``,
         ``params`` — the CLI renders this for ``repro algorithms``.
-
-        With ``plan_for={"n": ..., "layout": ..., "history": ...}``
-        each record also carries ``plan``: what ``backend="auto"``
-        would pick for that workload and which rule fired (the CLI's
-        ``repro algorithms --plan`` view).  ``layout`` and ``history``
-        are optional; ``p`` defaults to 1.
         """
-        plan_policy = None
-        if plan_for is not None:
-            from ..planner import ExecutionPolicy
-
-            plan_policy = ExecutionPolicy(
-                layout=plan_for.get("layout"),
-                history=plan_for.get("history"),
-            )
-        out = []
-        for name in sorted(self._infos):
-            info = self._infos[name]
-            record = {
+        return [
+            {
                 "name": name,
                 "backends": info.backends,
                 "paper_section": info.paper_section,
@@ -171,22 +148,8 @@ class AlgorithmRegistry(Mapping[str, AlgorithmInfo]):
                 "params": (sorted(info.params)
                            if info.params is not None else None),
             }
-            if plan_for is not None:
-                from ..planner import decide_for
-
-                decision = decide_for(
-                    plan_policy, algorithm=name,
-                    n=int(plan_for["n"]), p=int(plan_for.get("p", 1)),
-                )
-                record["plan"] = {
-                    "backend": decision.backend,
-                    "workers": decision.workers,
-                    "rule": decision.rule,
-                    "source": decision.source,
-                    "score_s": decision.plan.score,
-                }
-            out.append(record)
-        return out
+            for name, info in sorted(self._infos.items())
+        ]
 
 
 #: Registry of maximal-matching algorithms.
@@ -197,7 +160,6 @@ def register_algorithm(
     name: str,
     fn: Callable[..., tuple[Matching, CostReport, Any]],
     *,
-    aliases: Mapping[str, str] | None = None,
     renames: Mapping[str, str] | None = None,
     paper_section: str = "",
     optimal: bool = False,
@@ -207,8 +169,7 @@ def register_algorithm(
     Re-registration of an existing name is rejected to keep experiment
     configurations unambiguous.  The caller-facing kwarg schema is read
     off ``fn``'s signature (keyword-only parameters), with ``renames``
-    mapping canonical names onto ``fn``'s own parameter names and
-    ``aliases`` admitting deprecated spellings.
+    mapping canonical names onto ``fn``'s own parameter names.
     """
     if name in ALGORITHMS:
         raise InvalidParameterError(f"algorithm {name!r} already registered")
@@ -221,7 +182,6 @@ def register_algorithm(
         name=name,
         fn=fn,
         params=params,
-        aliases=dict(aliases or {}),
         renames=renames,
         paper_section=paper_section,
         optimal=optimal,
@@ -243,7 +203,6 @@ register_algorithm(
 )
 register_algorithm(
     "match4", match4,
-    aliases={"i": "iterations"},
     renames={"iterations": "i"},
     paper_section="§5, Algorithm Match4 (optimal: O(log n) time, O(n) work)",
     optimal=True,
@@ -253,71 +212,28 @@ register_algorithm(
 def normalize_algorithm_kwargs(
     algorithm: str, kwargs: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """Validate and canonicalize caller kwargs for ``algorithm``.
+    """Validate caller kwargs for ``algorithm``.
 
-    Deprecated aliases are translated to their canonical names with a
-    :class:`DeprecationWarning`; unknown names raise
-    :class:`InvalidParameterError` listing the valid ones.  Returns the
-    kwargs under canonical names.
+    Unknown names raise :class:`InvalidParameterError` listing the
+    valid ones.  Returns the kwargs as a fresh dict.
     """
     info = ALGORITHMS[algorithm]
-    if info.params is None:
-        return dict(kwargs)
-    out: dict[str, Any] = {}
-    for key, value in kwargs.items():
-        canonical = info.aliases.get(key, key)
-        if canonical != key:
-            warnings.warn(
-                f"kwarg {key!r} of algorithm {algorithm!r} is deprecated; "
-                f"use {canonical!r}",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if canonical not in info.params:
-            raise InvalidParameterError(
-                f"unknown kwarg {key!r} for algorithm {algorithm!r}; "
-                f"valid kwargs: {sorted(info.params)}"
-            )
-        if canonical in out:
-            raise InvalidParameterError(
-                f"kwarg {canonical!r} of algorithm {algorithm!r} given "
-                f"twice (directly and via its deprecated alias)"
-            )
-        out[canonical] = value
-    return out
-
-
-def _scoped_parallel_config(backend: str, workers: int | None,
-                            chunk_size: int | None):
-    """Context scoping the default ParallelConfig for one dispatch.
-
-    Only the ``numpy-mp`` tier reads the process-default config; for
-    any other backend (or when neither knob is set) this is a no-op
-    context, so policies carrying ``workers=`` stay harmless on serial
-    backends.
-    """
-    from contextlib import nullcontext
-
-    if backend != "numpy-mp" or (workers is None and chunk_size is None):
-        return nullcontext()
-    from ..parallel.config import ParallelConfig, get_default_config, \
-        using_config
-
-    base = get_default_config()
-    return using_config(ParallelConfig(
-        workers=workers if workers is not None else base.workers,
-        chunk_size=(chunk_size if chunk_size is not None
-                    else base.chunk_size),
-    ))
+    if info.params is not None:
+        for key in kwargs:
+            if key not in info.params:
+                raise InvalidParameterError(
+                    f"unknown kwarg {key!r} for algorithm {algorithm!r}; "
+                    f"valid kwargs: {sorted(info.params)}"
+                )
+    return dict(kwargs)
 
 
 def maximal_matching(
     lst: LinkedList | np.ndarray | list,
     *,
-    algorithm: str | None = None,
+    algorithm: str = "match4",
     backend: str | None = None,
     p: int = 1,
-    policy: Any = None,
     **kwargs: Any,
 ) -> MatchResult:
     """Compute a maximal matching of a linked list.
@@ -325,7 +241,8 @@ def maximal_matching(
     Parameters
     ----------
     lst:
-        A :class:`LinkedList` or a raw ``NEXT`` array (validated).
+        A :class:`LinkedList` or a raw ``NEXT`` array (validated and
+        copied).
     algorithm:
         One of :data:`ALGORITHMS` (paper algorithms ``match1`` ...
         ``match4`` plus registered baselines).  Default ``"match4"``.
@@ -333,41 +250,26 @@ def maximal_matching(
         Execution backend (see :mod:`repro.backends`): ``"reference"``
         for the paper-faithful per-pointer implementations, ``"numpy"``
         for the vectorized whole-array engine, ``"numpy-mp"`` for the
-        multiprocess tier — or ``"auto"`` to let :mod:`repro.planner`
-        pick from run history.  Results are bit-identical across
-        backends; only host wall-clock differs.  Default
-        ``"reference"``.
+        multiprocess tier (workers from
+        :func:`repro.parallel.using_config` / ``REPRO_WORKERS``) — or
+        ``"auto"`` for :func:`repro.backends.resolve_auto`'s static
+        pick.  Results are bit-identical across backends; only host
+        wall-clock differs.  Default ``"reference"``.
     p:
         Processor count for the cost accounting.
-    policy:
-        An :class:`~repro.planner.ExecutionPolicy` (or mapping) setting
-        backend/workers/chunk_size/planner mode in one place.  The
-        scattered kwargs above keep working; both are merged through
-        :func:`~repro.planner.policy.resolve_policy`, which rejects
-        contradictions.
     kwargs:
         Forwarded to the algorithm under canonical names (e.g.
         ``iterations=3`` for Match4, ``sort_law="reif"`` for Match2).
-        Deprecated aliases are accepted with a warning.
 
     Returns
     -------
     MatchResult:
         Typed record with fields ``matching``, ``report``, ``stats``,
-        ``backend``, ``algorithm``, ``extras``; unpacks as the legacy
-        ``(matching, report, stats)`` tuple.  When the planner resolved
-        ``backend="auto"``, ``extras["planner"]`` holds the full
-        decision (chosen plan, rule that fired, candidates considered).
+        ``backend`` (the concrete backend that ran), ``algorithm``,
+        ``extras``; unpacks as the legacy ``(matching, report, stats)``
+        tuple.
     """
-    from ..backends import AUTO, DEFAULT_BACKEND, get_backend
-    from ..planner.policy import resolve_policy
-
-    pol = resolve_policy(
-        policy, algorithm=algorithm, backend=backend,
-        defaults={"algorithm": "match4", "backend": DEFAULT_BACKEND},
-    )
-    algorithm = pol.algorithm
-    requested_backend = pol.backend
+    from ..backends import AUTO, DEFAULT_BACKEND, get_backend, resolve_auto
 
     if not isinstance(lst, LinkedList):
         lst = LinkedList(lst)
@@ -380,38 +282,10 @@ def maximal_matching(
         ) from None
     kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
 
-    extras: dict[str, Any] = {}
-    workers = pol.workers
-    chunk_size = pol.chunk_size
+    requested_backend = backend or DEFAULT_BACKEND
     resolved_backend = requested_backend
     if requested_backend == AUTO:
-        from ..planner import decide_for, run_race
-
-        decision = decide_for(pol, algorithm=algorithm, n=lst.n, p=p)
-        extras["planner"] = decision.to_extra()
-        if decision.raced:
-            from ..planner.core import planner_for_policy
-            from ..planner.rules import PlanContext
-
-            winner, race_info = run_race(
-                lst, backends=decision.race_backends,
-                algorithm=algorithm, p=p, kwargs=kwargs,
-                planner=planner_for_policy(pol),
-                ctx=decision.context,
-            )
-            extras["planner"]["raced"] = True
-            extras["planner"]["race"] = race_info
-            extras["planner"]["backend"] = race_info["winner"]
-            return MatchResult(
-                matching=winner.matching, report=winner.report,
-                stats=winner.stats, backend=winner.backend,
-                algorithm=algorithm, extras=extras,
-            )
-        resolved_backend = decision.backend
-        if workers is None:
-            workers = decision.workers
-        if chunk_size is None:
-            chunk_size = decision.plan.chunk_size
+        resolved_backend = resolve_auto(algorithm, lst.n)
 
     backend_obj = get_backend(resolved_backend)
     fn = backend_obj.algorithms.get(algorithm)
@@ -431,9 +305,7 @@ def maximal_matching(
         "maximal_matching", algorithm=algorithm,
         backend=resolved_backend, n=lst.n, p=p, **span_attrs,
     ) as sp:
-        with _scoped_parallel_config(resolved_backend, workers,
-                                     chunk_size):
-            matching, report, stats = fn(lst, p=p, **kwargs)
+        matching, report, stats = fn(lst, p=p, **kwargs)
         if telemetry_enabled():
             sp.set(time=report.time, work=report.work,
                    matched=matching.size)
@@ -442,5 +314,5 @@ def maximal_matching(
             METRICS.counter("pram.work").inc(report.work)
     return MatchResult(
         matching=matching, report=report, stats=stats,
-        backend=resolved_backend, algorithm=algorithm, extras=extras,
+        backend=resolved_backend, algorithm=algorithm,
     )

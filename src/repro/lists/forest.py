@@ -38,7 +38,7 @@ class Forest:
                  "_component_head")
 
     def __init__(self, next_: Sequence[int] | np.ndarray) -> None:
-        nxt = as_index_array(next_, name="NEXT")
+        nxt = as_index_array(next_, name="NEXT").copy()
         n = nxt.size
         if n == 0:
             raise InvalidListError("empty forest")

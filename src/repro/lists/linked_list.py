@@ -7,8 +7,10 @@ also exposes the derived structures every algorithm needs: the
 predecessor array, the visit order, and the pointer set
 ``{<v, suc(v)> : NEXT[v] != nil}`` as parallel (tails, heads) arrays.
 
-The container is immutable: algorithms never mutate a caller's list
-(they copy the pointer arrays they destroy, e.g. Match3's doubling).
+The container is immutable: it copies the caller's arrays on ingest
+(so later writes to them change nothing), freezes its own, and
+algorithms never mutate a list (they copy the pointer arrays they
+destroy, e.g. Match3's doubling).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class LinkedList:
         values: Sequence[int] | np.ndarray | None = None,
         validate: bool = True,
     ) -> None:
-        nxt = as_index_array(next_, name="NEXT")
+        nxt = as_index_array(next_, name="NEXT").copy()
         if validate:
             head = validate_next_array(nxt)
         else:
@@ -72,7 +74,7 @@ class LinkedList:
         if values is None:
             vals = np.arange(nxt.size, dtype=np.int64)
         else:
-            vals = as_index_array(values, name="values")
+            vals = as_index_array(values, name="values").copy()
             if vals.size != nxt.size:
                 raise InvalidListError(
                     f"values has {vals.size} entries for {nxt.size} nodes"

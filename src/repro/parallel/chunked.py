@@ -83,8 +83,8 @@ class ParallelWalker:
     A walker built without an explicit config resolves the
     process-default :class:`ParallelConfig` **per call**, not at
     construction — a long-lived walker therefore honors
-    :func:`~repro.parallel.config.using_config` scopes (and planner
-    worker overrides) active at call time.  Passing ``config=`` pins
+    :func:`~repro.parallel.config.using_config` scopes active at call
+    time.  Passing ``config=`` pins
     the walker to that config for its lifetime.
     """
 

@@ -68,13 +68,13 @@ class Workload:
     """One validated list plus the identity it is cached/recorded under.
 
     ``backend`` is always a *concrete* backend name: a request asking
-    for ``"auto"`` is resolved through :mod:`repro.planner` during
-    parsing — before admission, and in particular before the
-    micro-batcher's per-(algorithm, backend) fusion groups entries —
-    with the original ask kept in ``requested_backend`` and the full
-    decision in ``planner``.  Cache/record identity uses the resolved
-    backend, so an ``"auto"`` request and an explicit request for the
-    chosen backend share cache entries (they are the same computation).
+    for ``"auto"`` is resolved through
+    :func:`repro.backends.resolve_auto` during parsing — before
+    admission, and in particular before the micro-batcher's
+    per-(algorithm, backend) fusion groups entries.  Cache/record
+    identity uses the resolved backend, so an ``"auto"`` request and
+    an explicit request for the chosen backend share cache entries
+    (they are the same computation).
     """
 
     lst: LinkedList
@@ -82,10 +82,6 @@ class Workload:
     backend: str
     #: ``("spec", n, layout, seed)`` or ``("digest", sha256hex)``.
     identity: tuple
-    #: ``"auto"`` when the planner resolved the backend; else ``None``.
-    requested_backend: str | None = None
-    #: The planner decision (JSON-able), when ``requested_backend`` set.
-    planner: Mapping[str, Any] | None = None
 
     @property
     def n(self) -> int:
@@ -175,7 +171,7 @@ def parse_workload(
             f"unknown algorithm {algorithm!r}; choose from "
             f"{sorted(ALGORITHMS)}"
         )
-    from ..backends import AUTO, backend_choices
+    from ..backends import AUTO, backend_choices, resolve_auto
 
     if backend not in backend_choices():
         raise WorkloadError(
@@ -191,26 +187,7 @@ def parse_workload(
             "workload needs either 'next' (explicit successor array) or "
             "'n' (+ optional 'layout'/'seed' spec)"
         )
-    requested_backend = None
-    planner_extra = None
     if backend == AUTO:
-        from ..planner import ExecutionPolicy, decide_for
-
-        layout = identity[2] if identity[0] == "spec" else None
-        try:
-            decision = decide_for(
-                ExecutionPolicy(layout=layout),
-                algorithm=algorithm, n=int(lst.n),
-            )
-        except ReproError as exc:
-            raise WorkloadError(
-                f"planner cannot resolve backend='auto' for "
-                f"{algorithm!r}: {exc}"
-            ) from None
-        requested_backend = AUTO
-        planner_extra = decision.to_extra()
-        backend = decision.backend
+        backend = resolve_auto(algorithm, lst.n)
     return Workload(lst=lst, algorithm=algorithm, backend=backend,
-                    identity=identity,
-                    requested_backend=requested_backend,
-                    planner=planner_extra)
+                    identity=identity)

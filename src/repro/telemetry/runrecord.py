@@ -206,22 +206,13 @@ def rotate_if_over(path, incoming_bytes: int, max_bytes: int) -> bool:
     return True
 
 
-def append_record(path, record: RunRecord, *,
-                  max_bytes: int | None = None) -> Path:
-    """Append one record as a JSON line; returns the manifest path.
-
-    ``max_bytes`` bounds the manifest via :func:`rotate_if_over` —
-    the knob unattended appenders (the service's planner feedback)
-    use so history files cannot grow without bound.
-    """
+def append_record(path, record: RunRecord) -> Path:
+    """Append one record as a JSON line; returns the manifest path."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps({"type": "run", **record.to_dict()},
-                      default=json_default) + "\n"
-    if max_bytes is not None:
-        rotate_if_over(p, len(line.encode("utf-8")), max_bytes)
     with open(p, "a", encoding="utf-8") as fh:
-        fh.write(line)
+        fh.write(json.dumps({"type": "run", **record.to_dict()},
+                            default=json_default) + "\n")
     return p
 
 

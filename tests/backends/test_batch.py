@@ -76,11 +76,15 @@ class TestBatchApi:
         assert list(batch) == list(batch.matchings)
         assert batch[1] is batch.matchings[1]
 
-    def test_deprecated_alias(self):
+    def test_iterations_kwarg(self):
         lists = _mixed_lists(range(2), [16, 17])
-        with pytest.warns(DeprecationWarning, match="use 'iterations'"):
-            batch = batch_maximal_matching(lists, algorithm="match4", i=1)
+        batch = batch_maximal_matching(lists, algorithm="match4",
+                                       iterations=1)
         assert batch.stats.num_lists == 2
+        for lst, m in zip(lists, batch.matchings):
+            single = repro.maximal_matching(lst, algorithm="match4",
+                                            iterations=1)
+            assert np.array_equal(m.tails, single.matching.tails)
 
     def test_unsupported_algorithm_on_numpy(self):
         lists = _mixed_lists(range(2), [16, 17])

@@ -2,7 +2,6 @@
 
 import warnings
 
-import numpy as np
 import pytest
 
 import repro
@@ -58,33 +57,20 @@ class TestKwargNormalization:
             warnings.simplefilter("error")
             repro.maximal_matching(lst, algorithm="match4", iterations=1)
 
-    def test_deprecated_alias_warns_and_works(self):
-        lst = repro.random_list(128, rng=2)
-        with pytest.warns(DeprecationWarning, match="use 'iterations'"):
-            old = repro.maximal_matching(lst, algorithm="match4", i=2)
-        new = repro.maximal_matching(lst, algorithm="match4", iterations=2)
-        assert np.array_equal(old.matching.tails, new.matching.tails)
-
-    def test_alias_on_numpy_backend(self):
-        lst = repro.random_list(128, rng=2)
-        with pytest.warns(DeprecationWarning):
-            res = repro.maximal_matching(
-                lst, algorithm="match4", backend="numpy", i=2)
-        assert res.matching.is_maximal
-
     def test_unknown_kwarg_lists_valid_names(self):
         lst = repro.random_list(64, rng=3)
-        with pytest.raises(InvalidParameterError) as exc:
-            repro.maximal_matching(lst, algorithm="match4", iteration=2)
-        msg = str(exc.value)
-        assert "iteration" in msg and "iterations" in msg
+        # ``i`` is Match4's retired spelling of ``iterations``.
+        for key in ("iteration", "i"):
+            for backend in ("reference", "numpy"):
+                with pytest.raises(InvalidParameterError) as exc:
+                    repro.maximal_matching(lst, algorithm="match4",
+                                           backend=backend, **{key: 2})
+                msg = str(exc.value)
+                assert repr(key) in msg and "'iterations'" in msg
 
     def test_alias_and_canonical_together_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(InvalidParameterError, match="twice"):
-                normalize_algorithm_kwargs(
-                    "match4", {"i": 1, "iterations": 2})
+        with pytest.raises(InvalidParameterError, match="unknown kwarg 'i'"):
+            normalize_algorithm_kwargs("match4", {"i": 1, "iterations": 2})
 
     def test_unknown_algorithm(self):
         lst = repro.random_list(64, rng=3)

@@ -42,12 +42,6 @@ class TestDispatch:
         _, _, stats = maximal_matching(lst, algorithm="match4", iterations=3)
         assert stats.i == 3
 
-    def test_deprecated_alias_still_forwarded(self):
-        lst = random_list(512, rng=2)
-        with pytest.warns(DeprecationWarning):
-            _, _, stats = maximal_matching(lst, algorithm="match4", i=3)
-        assert stats.i == 3
-
     def test_registry_rejects_duplicates(self):
         with pytest.raises(InvalidParameterError, match="already"):
             register_algorithm("match1", ALGORITHMS["match1"])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import InvalidListError
-from repro.lists import NIL, LinkedList
+from repro.lists import NIL, LinkedList, random_list
 
 permutations = st.integers(1, 200).flatmap(
     lambda n: st.permutations(list(range(n)))
@@ -69,6 +70,30 @@ class TestImmutability:
         lst = LinkedList.from_order([0, 1, 2])
         with pytest.raises(ValueError):
             lst.pred[0] = 5
+
+    def test_caller_array_stays_writeable(self):
+        nxt = random_list(64, rng=0).next.copy()
+        values = np.arange(64, dtype=np.int64)
+        LinkedList(nxt, values=values)
+        repro.maximal_matching(nxt, backend="numpy")
+        assert nxt.flags.writeable and values.flags.writeable
+        nxt[0] = nxt[0]  # still the caller's to write
+
+    @pytest.mark.parametrize("backend", ["reference", "numpy"])
+    def test_overwriting_the_source_changes_nothing(self, backend):
+        base = random_list(64, rng=1).next.copy()
+        original = base.copy()
+        values = np.arange(64, dtype=np.int64)
+        lists = [LinkedList(base), LinkedList(base[:], values=values)]
+        before = [repro.maximal_matching(lst, backend=backend).matching.tails
+                  for lst in lists]
+        base[:] = random_list(64, rng=2).next  # a different valid list
+        values[:] = 0
+        for lst, tails in zip(lists, before):
+            assert np.array_equal(lst.next, original)
+            assert np.array_equal(lst.values, np.arange(64))
+            again = repro.maximal_matching(lst, backend=backend)
+            assert np.array_equal(again.matching.tails, tails)
 
 
 class TestDerivedStructures:

@@ -1,7 +1,7 @@
 """ParallelWalker config resolution: live per call, not frozen at init.
 
-The planner switches worker counts mid-process (``using_config`` around
-one dispatch), so a walker built without an explicit config must see
+Callers switch worker counts mid-process (``using_config`` around one
+dispatch), so a walker built without an explicit config must see
 the config active *when it is called*.  These are regression tests for
 the construction-time snapshot bug: a default-config walker built
 outside a ``using_config`` scope used to ignore scopes entered later.
@@ -83,9 +83,9 @@ class TestPoolReuseAcrossConfigs:
         assert pool_a is pool_b
 
     def test_planner_style_worker_switch_is_bit_identical(self):
-        # The planner wraps one dispatch in using_config with its own
-        # worker pick; back-to-back calls with different counts must
-        # agree with serial and with each other.
+        # One dispatch wrapped in using_config with its own worker
+        # count; back-to-back calls with different counts must agree
+        # with serial and with each other.
         lst = repro.random_list(900, rng=14)
         base = engine.match4(lst, iterations=2)
         results = []

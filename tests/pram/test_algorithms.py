@@ -166,7 +166,7 @@ class TestMatch2Program:
 
 
 class TestMatch3Program:
-    def plan_for(self, n):
+    def match3_plan(self, n):
         from repro.core.functions import max_label_after
         from repro.core.match3 import Match3Plan
 
@@ -185,7 +185,7 @@ class TestMatch3Program:
         lst = random_list(n, rng=n)
         tails, _ = run_match3(lst, mode="EREW")
         verify_maximal_matching(lst, tails)
-        m, _, _ = match3(lst, plan=self.plan_for(n))
+        m, _, _ = match3(lst, plan=self.match3_plan(n))
         assert np.array_equal(tails, m.tails)
 
     def test_erew_needs_table_copies(self):

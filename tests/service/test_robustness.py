@@ -29,6 +29,7 @@ from repro.service import (
     ServiceConfig,
     parse_workload,
 )
+from repro.telemetry.metrics import METRICS
 
 from .conftest import assert_bit_identical, match, run_service
 
@@ -175,6 +176,55 @@ class TestDeadlines:
         assert "not computed" in payload["error"]
         assert calls == []  # the engine never saw it
         assert batcher.deadline_shed == 1
+
+    def test_expired_before_dispatch_is_counted(self):
+        """A group whose deadline lapses while an earlier group of the
+        same batch computes is answered 504 uncomputed, and counted
+        under ``service.deadline.predispatch``."""
+        calls = []
+
+        def slow_batch(lists, *, algorithm, **kwargs):
+            calls.append(algorithm)
+            time.sleep(0.5)  # outlives the second group's deadline
+            return batch_maximal_matching(lists, algorithm=algorithm,
+                                          **kwargs)
+
+        def request(loop, algorithm, deadline_s):
+            workload = parse_workload(
+                {"n": 64, "seed": 0, "algorithm": algorithm}, **PARSE)
+            return PendingRequest(
+                entries=[Entry(workload=workload)],
+                deadline=loop.time() + deadline_s,
+                enqueued_at=loop.time(),
+                future=loop.create_future(),
+                single=True,
+                use_cache=False,
+            )
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            config = ServiceConfig(max_batch_delay_ms=5.0)
+            admission = AdmissionQueue(config)
+            batcher = MicroBatcher(admission, config, batch_fn=slow_batch)
+            slow = request(loop, "match1", 30.0)
+            doomed = request(loop, "match4", 0.2)
+            assert admission.try_admit(slow) is None
+            assert admission.try_admit(doomed) is None
+            task = asyncio.create_task(batcher.run())
+            results = await asyncio.gather(slow.future, doomed.future)
+            batcher.stop()
+            await task
+            batcher.shutdown_executor()
+            return results, batcher
+
+        counter = METRICS.counter("service.deadline.predispatch")
+        before = counter.value
+        (slow, doomed), batcher = asyncio.run(scenario())
+        assert slow[0] == 200
+        assert doomed[0] == 504
+        assert calls == ["match1"]  # the doomed group never computed
+        assert batcher.batches == 1  # both rode the same batch
+        assert counter.value == before + 1
 
     def test_expired_in_queue_over_http(self):
         """Same guarantee through the full HTTP path: a 1ms deadline

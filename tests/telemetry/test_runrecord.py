@@ -118,10 +118,18 @@ class TestAppendRecordRotation:
                          n=64, p=8, time=10, work=100,
                          extra={"i": i, "pad": "x" * 100})
 
+    def append_rotating(self, path, i, max_bytes=600):
+        """An appender bounding its manifest with ``rotate_if_over``."""
+        from repro.telemetry import rotate_if_over
+        record = self.record(i)
+        line = json.dumps({"type": "run", **record.to_dict()}) + "\n"
+        rotate_if_over(path, len(line.encode("utf-8")), max_bytes)
+        append_record(path, record)
+
     def test_rotation_keeps_every_record_readable(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         for i in range(20):
-            append_record(path, self.record(i), max_bytes=600)
+            self.append_rotating(path, i)
         rolled = path.with_name(path.name + ".1")
         assert rolled.exists()
         tail = [r.extra["i"] for r in read_records(path, rotated=False)]
@@ -133,7 +141,7 @@ class TestAppendRecordRotation:
     def test_default_read_spans_the_roll(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         for i in range(20):
-            append_record(path, self.record(i), max_bytes=600)
+            self.append_rotating(path, i)
         assert path.with_name(path.name + ".1").exists()
         # The default read stitches rolled generations (oldest first)
         # onto the live file — no record silently dropped at the roll.
