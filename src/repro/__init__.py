@@ -88,7 +88,6 @@ from . import backends
 from .backends import BACKENDS, Backend
 from .backends.batch import BatchMatchResult, batch_maximal_matching
 from . import parallel
-from .parallel import ParallelConfig, using_config
 from .resilience import resilient_matching
 from . import dynamic
 from .dynamic import ChurnConfig, ChurnSession, DynamicList, RepairLedger
@@ -117,8 +116,6 @@ __all__ = [
     "verify_matching", "verify_maximal_matching",
     # backends
     "BACKENDS", "Backend", "BatchMatchResult", "batch_maximal_matching",
-    # parallel
-    "ParallelConfig", "using_config",
     # resilience
     "resilient_matching",
     # dynamic

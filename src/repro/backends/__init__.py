@@ -200,23 +200,3 @@ register_backend(Backend(
     canonical_kwargs=True,
     limit=ENGINE_LIMIT,
 ))
-
-# Imported after the numpy backend: the multiprocess tier wraps the
-# engine (repro.parallel.chunked imports this package mid-init and
-# relies on the ``engine`` attribute above being bound already).
-from ..parallel import chunked as _chunked  # noqa: E402
-
-register_backend(Backend(
-    name="numpy-mp",
-    description=(
-        "numpy engine with the cut-walk phase distributed across a "
-        "process pool (bit-identical results; workers/chunk size from "
-        "repro.parallel's default ParallelConfig and REPRO_WORKERS)"
-    ),
-    algorithms={
-        "match1": _chunked.match1,
-        "match4": _chunked.match4,
-    },
-    canonical_kwargs=True,
-    limit=ENGINE_LIMIT,
-))

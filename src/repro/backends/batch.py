@@ -300,25 +300,6 @@ _BATCH_DRIVERS = {
 }
 
 
-def _resolve_batch_workers(backend: str, workers: int | None) -> int:
-    """Effective worker count for one batch call, validated config-time.
-
-    An explicit ``workers`` is validated through
-    :class:`~repro.parallel.config.ParallelConfig` (``workers < 1``
-    raises :class:`InvalidParameterError` — a ``ValueError`` — before
-    any pool exists).  ``workers=None`` means serial, except on the
-    ``numpy-mp`` backend, which resolves the process-default config
-    (and thereby ``REPRO_WORKERS``).
-    """
-    from ..parallel.config import ParallelConfig, get_default_config
-
-    if workers is not None:
-        return ParallelConfig(workers=workers).resolve_workers()
-    if backend == "numpy-mp":
-        return get_default_config().resolve_workers()
-    return 1
-
-
 def batch_maximal_matching(
     lists: Sequence[LinkedList | np.ndarray | list],
     *,
@@ -341,11 +322,9 @@ def batch_maximal_matching(
     ``workers`` engages :mod:`repro.parallel`: the batch is sharded by
     node-balanced contiguous ranges across that many worker processes,
     each running this function serially on its shard.  ``workers=None``
-    (default) is serial, except with ``backend="numpy-mp"``, which
-    resolves the process-default
-    :class:`~repro.parallel.config.ParallelConfig` (and the
-    ``REPRO_WORKERS`` environment variable).  ``workers < 1`` raises
-    :class:`InvalidParameterError` (a ``ValueError``) at config time.
+    (default) is serial.  Anything but an ``int >= 1`` (a ``bool``
+    included) raises :class:`InvalidParameterError` (a ``ValueError``)
+    before any pool exists.
 
     **Order guarantee**: ``matchings[i]`` always corresponds to
     ``lists[i]`` — results are reassembled by shard index, never by
@@ -376,7 +355,7 @@ def batch_maximal_matching(
         normalize_algorithm_kwargs,
     )
     from . import AUTO, get_backend, resolve_auto
-    from ..parallel.executor import run_sharded_batch
+    from ..parallel.executor import check_workers, run_sharded_batch
 
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(
@@ -392,11 +371,8 @@ def batch_maximal_matching(
         backend = resolve_auto(algorithm, max((l.n for l in lls), default=1))
 
     get_backend(backend)  # validate the name even for the loop path
-    eff_workers = _resolve_batch_workers(backend, workers)
+    eff_workers = check_workers(workers)
     kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
-    # Inside a worker (and in every serial path) numpy-mp's batch form
-    # *is* the numpy arena; the parallelism lives in the sharding.
-    serial_backend = "numpy" if backend == "numpy-mp" else backend
 
     if telemetry_enabled():
         METRICS.histogram("batch.size").observe(len(lls))
@@ -408,7 +384,7 @@ def batch_maximal_matching(
     ):
         sharded = None
         if eff_workers > 1 and len(lls) > 1:
-            if serial_backend == "numpy":
+            if backend == "numpy":
                 # Fail fast (and identically to serial) before forking.
                 _require_supported(int(max(l.n for l in lls)))
                 if algorithm not in _BATCH_DRIVERS:
@@ -419,11 +395,11 @@ def batch_maximal_matching(
                     )
             sharded = run_sharded_batch(
                 lls, algorithm=algorithm, p=p, kwargs=kwargs,
-                workers=eff_workers, backend=serial_backend,
+                workers=eff_workers, backend=backend,
             )
         if sharded is not None:
             matchings, report = sharded
-        elif serial_backend == "numpy":
+        elif backend == "numpy":
             driver = _BATCH_DRIVERS.get(algorithm)
             if driver is None:
                 raise InvalidParameterError(
@@ -443,7 +419,7 @@ def batch_maximal_matching(
             collected = []
             for lst in lls:
                 res = maximal_matching(
-                    lst, algorithm=algorithm, backend=serial_backend, p=p,
+                    lst, algorithm=algorithm, backend=backend, p=p,
                     **kwargs
                 )
                 collected.append(res.matching)

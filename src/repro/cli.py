@@ -92,13 +92,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.algorithm == "match4":
         kwargs["iterations"] = args.i
-    workers = args.workers
-    if workers is not None:
-        from .parallel import config_with_workers, set_default_config
-
-        # Validated at config time (workers < 1 raises a ValueError
-        # before any pool exists); the numpy-mp backend reads this.
-        set_default_config(config_with_workers(workers))
     t0 = time.perf_counter()
     result = maximal_matching(
         lst, algorithm=args.algorithm, backend=args.backend,
@@ -108,8 +101,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
     matching, report = result.matching, result.report
     print(f"algorithm : {args.algorithm}")
     print(f"backend   : {result.backend}")
-    if workers is not None:
-        print(f"workers   : {workers}")
     print(f"n, p      : {args.n}, {args.p}")
     print(f"matched   : {matching.size} of {args.n - 1} pointers")
     print(f"maximal   : {matching.is_maximal}")
@@ -123,7 +114,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         from .telemetry.runrecord import RunRecord, append_record
         from .telemetry import resources as _resources
 
-        extra = {"workers": workers} if workers is not None else {}
+        extra = {}
         if _resources.enabled():
             extra["resources"] = _resources.build_report(
                 backend=result.backend).to_dict()
@@ -548,7 +539,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_deadline_s=args.drain_deadline_s,
         retry_after_s=args.retry_after_s,
         manifest_path=args.record,
-        seed=args.seed,
         slo_p95_ms=args.slo_p95_ms,
         slo_availability=args.slo_availability,
         live_window_s=args.live_window_s,
@@ -659,10 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "picks numpy where it implements the algorithm)")
     m.add_argument("--i", type=int, default=2,
                    help="Match4's iterations parameter")
-    m.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker processes for the multiprocess tier "
-                        "(sets repro.parallel's default config; pair "
-                        "with --backend numpy-mp)")
     m.add_argument("--record", default="", metavar="PATH",
                    help="append a RunRecord JSON line to PATH")
     m.set_defaults(fn=_cmd_match)
@@ -870,8 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Retry-After hint on 429/503 responses")
     sv.add_argument("--record", default="",
                     help="append the final service RunRecord manifest here")
-    sv.add_argument("--seed", type=int, default=0,
-                    help="seeds the retry-backoff jitter")
     sv.add_argument("--slo-p95-ms", type=float, default=500.0,
                     help="SLO latency objective for /debug/vars burn rate")
     sv.add_argument("--slo-availability", type=float, default=0.999,

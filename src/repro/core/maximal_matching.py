@@ -249,11 +249,8 @@ def maximal_matching(
     backend:
         Execution backend (see :mod:`repro.backends`): ``"reference"``
         for the paper-faithful per-pointer implementations, ``"numpy"``
-        for the vectorized whole-array engine, ``"numpy-mp"`` for the
-        multiprocess tier (workers from
-        :func:`repro.parallel.using_config` / ``REPRO_WORKERS``) — or
-        ``"auto"`` for :func:`repro.backends.resolve_auto`'s static
-        pick.  Results are bit-identical across backends; only host
+        for the vectorized whole-array engine — or ``"auto"`` for
+        :func:`repro.backends.resolve_auto`'s static pick.  Results are bit-identical across backends; only host
         wall-clock differs.  Default ``"reference"``.
     p:
         Processor count for the cost accounting.

@@ -211,7 +211,7 @@ class DynamicList:
         """Adopt a static list and its matching (computed if not given).
 
         ``tails`` lets a caller seed the session with a matching some
-        other engine produced (e.g. ``numpy-mp``); otherwise one is
+        other engine produced (e.g. a sharded batch); otherwise one is
         computed via :func:`repro.maximal_matching` with the given
         algorithm/backend.
         """

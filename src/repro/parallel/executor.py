@@ -56,12 +56,29 @@ from ..telemetry.spans import (
 )
 from . import pools
 
-__all__ = ["shard_bounds", "run_sharded_batch"]
+__all__ = ["check_workers", "shard_bounds", "run_sharded_batch"]
 
 #: Pool-infrastructure failures that trigger the serial fallback.  An
 #: algorithm error raised inside a worker is none of these and
 #: propagates unchanged.
 POOL_ERRORS = (BrokenExecutor, OSError, pickle.PicklingError)
+
+
+def check_workers(workers: int | None) -> int:
+    """The worker count a ``workers=`` argument asks for.
+
+    ``None`` means serial (1).  Anything else must be an ``int >= 1``
+    (a ``bool`` is not), or :class:`InvalidParameterError` is raised —
+    before any pool exists.
+    """
+    if workers is None:
+        return 1
+    if (not isinstance(workers, int) or isinstance(workers, bool)
+            or workers < 1):
+        raise InvalidParameterError(
+            f"workers must be an int >= 1 or None, got {workers!r}"
+        )
+    return workers
 
 
 def shard_bounds(sizes: Sequence[int], num_shards: int,
@@ -195,8 +212,7 @@ def run_sharded_batch(
     """Match a batch of lists across ``workers`` processes.
 
     ``kwargs`` must already be normalized (canonical names); ``backend``
-    is what each worker runs *inside* its process (``numpy-mp`` callers
-    pass ``numpy`` — a worker never nests pools).  Returns
+    is what each worker runs serially *inside* its process.  Returns
     ``(matchings, report)`` with matchings in **input order** — shard
     results are reassembled by shard index, never by completion order —
     or ``None`` when the pool infrastructure failed and the caller

@@ -17,14 +17,9 @@ A pool that breaks *mid-call* is still dropped by the caller via
 :func:`shutdown_pools` tears everything down and is registered at
 interpreter exit.
 
-The cache is keyed by **worker count only**, deliberately.  A pool's
-contents are config-independent — workers are blank interpreters that
-receive self-contained payloads, and per-call knobs like
-``chunk_size`` are consumed by the *parent* when it slices work, never
-by the pool.  So when a ``using_config`` scope changes worker
-counts mid-process, each count maps to its own cached
-pool and switching between them is safe; keying on the full config
-would only multiply identical pools per ``chunk_size`` value.
+The cache is keyed by **worker count only**: workers are blank
+interpreters that receive self-contained payloads, so callers that
+switch ``workers=`` between calls each get their own cached pool.
 """
 
 from __future__ import annotations

@@ -252,17 +252,6 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
                 f"utilization {prof.utilization:.3f}")
 
     def check_parallel() -> str:
-        from repro.parallel import ParallelConfig, using_config
-
-        small = repro.random_list(512, rng=seed + 7)
-        ref = repro.maximal_matching(
-            small, algorithm="match4", backend="reference", iterations=2)
-        with using_config(ParallelConfig(workers=2, chunk_size=64)):
-            par = repro.maximal_matching(
-                small, algorithm="match4", backend="numpy-mp", iterations=2)
-        assert np.array_equal(par.matching.tails, ref.matching.tails), \
-            "numpy-mp tails diverge from reference"
-        assert par.report == ref.report, "numpy-mp cost report diverges"
         lists = [repro.random_list(m, rng=seed + 8 + m)
                  for m in (1, 2, 33, 127, 128)]
         serial = repro.batch_maximal_matching(lists, algorithm="match4")
@@ -271,7 +260,7 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
         for sm, pm in zip(serial.matchings, sharded.matchings):
             assert np.array_equal(sm.tails, pm.tails), \
                 "sharded batch diverged from serial"
-        return "numpy-mp == reference, sharded batch == serial"
+        return "sharded batch == serial"
 
     def check_dynamic() -> str:
         from repro.apps import uniform_contraction, verify_contraction
@@ -313,6 +302,6 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
     _check(report, "fault injection + recovery", check_fault_recovery)
     _check(report, "telemetry round-trip", check_telemetry)
     _check(report, "profiler invariants", check_profiling)
-    _check(report, "parallel backend equivalence", check_parallel)
+    _check(report, "sharded batch equivalence", check_parallel)
     _check(report, "dynamic churn + contraction", check_dynamic)
     return report

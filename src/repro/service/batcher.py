@@ -24,16 +24,15 @@ Two cooperating pieces, both owned by the event loop:
       *without computing*; an in-flight batch that outlives every
       member's deadline is abandoned (the thread finishes into the
       void) and its requests answered 504;
-    - **retry** — pool-infrastructure failures
-      (:data:`~repro.parallel.executor.POOL_ERRORS`) escaping the
-      executor's own serial fallback are retried with seeded-jitter
-      exponential backoff, at most ``max_retries`` times;
-    - **degrade** — an engine error (or exhausted retries) falls back
-      *per request* through
+    - **degrade** — an engine error falls back *per request* through
       :func:`repro.resilience.resilient_matching` on the reference
       tier, so one poisoned workload degrades its own answer instead
       of failing the batch: accepted requests answer 200 or 504,
-      never 500, unless even the sequential floor fails.
+      never 500, unless even the sequential floor fails.  Pool
+      failures never need a retry here: the sharded executor already
+      drops a broken pool and reruns the batch serially, so a
+      :data:`~repro.parallel.executor.POOL_ERRORS` exception that
+      still escapes takes the same degrade path.
 
 Every decision is counted in ``service.*`` metrics (always on — the
 process's own metrics are its operational surface; span emission
@@ -51,7 +50,6 @@ shard work under.
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -211,8 +209,8 @@ class MicroBatcher:
 
     ``batch_fn`` defaults to
     :func:`~repro.backends.batch.batch_maximal_matching`; tests inject
-    wrappers that fail on schedule to drive the retry and fallback
-    paths deterministically.  ``fallback_fn`` likewise defaults to
+    wrappers that fail on schedule to drive the fallback path
+    deterministically.  ``fallback_fn`` likewise defaults to
     :func:`repro.resilience.resilient_matching`.
     """
 
@@ -242,7 +240,6 @@ class MicroBatcher:
         self._batch_fn = batch_fn or batch_maximal_matching
         self._fallback_fn = fallback_fn or resilient_matching
         self._stopping = asyncio.Event()
-        self._rng = random.Random(config.seed)
         self._executor = None  # created lazily on the running loop
         #: Aggregate Brent account of everything computed, for the
         #: final manifest.
@@ -254,7 +251,6 @@ class MicroBatcher:
         self.served = 0
         self.timeouts = 0
         self.errors = 0
-        self.retries = 0
         self.engine_faults = 0
         self.degraded = 0
         self.deadline_shed = 0
@@ -473,91 +469,64 @@ class MicroBatcher:
         backend: str,
         pairs: list[tuple[PendingRequest, Entry]],
     ) -> None:
-        """One fused batch call (+ retry/fallback) for one group."""
+        """One fused batch call (+ per-request fallback) for one group."""
         loop = asyncio.get_running_loop()
         budget_end = max(request.deadline for request, _ in pairs)
         lists = [entry.workload.lst for _, entry in pairs]
         METRICS.histogram("service.batch.lists").observe(len(lists))
-        attempt = 0
-        while True:
-            remaining = budget_end - loop.time()
-            if remaining <= 0:
-                METRICS.counter("service.deadline.predispatch").inc()
-                self._mark_timeout(pairs)
-                return
-            fn = partial(
-                self._batch_fn, lists, algorithm=algorithm, backend=backend,
-                workers=self.config.workers, p=1,
-            )
-            try:
-                if telemetry_enabled():
-                    # One fused span serves every member request: simple
-                    # parentage cannot express that, so the span carries
-                    # each member's trace id in ``links`` (the key
-                    # request_trace_spans re-cuts the tree with), is
-                    # tagged with the first member's trace id, and hands
-                    # the compute thread an ambient context parenting
-                    # thread-root spans under it.
-                    links = tuple(sorted({
-                        req.trace.trace_id for req, _ in pairs
-                        if req.trace is not None
-                    }))
-                    with telemetry_span(
-                        "service.batch", algorithm=algorithm,
-                        backend=backend, lists=len(lists), attempt=attempt,
-                        links=links,
-                    ) as batch_span:
-                        ctx = None
-                        if links:
-                            batch_span.trace_id = links[0]
-                            ctx = TraceContext(links[0],
-                                               batch_span.span_id)
-                        result = await asyncio.wait_for(
-                            loop.run_in_executor(
-                                self._pool(),
-                                partial(_call_traced, ctx, fn)),
-                            remaining)
-                else:
+        remaining = budget_end - loop.time()
+        if remaining <= 0:
+            METRICS.counter("service.deadline.predispatch").inc()
+            self._mark_timeout(pairs)
+            return
+        fn = partial(
+            self._batch_fn, lists, algorithm=algorithm, backend=backend,
+            workers=self.config.workers, p=1,
+        )
+        try:
+            if telemetry_enabled():
+                # One fused span serves every member request: simple
+                # parentage cannot express that, so the span carries
+                # each member's trace id in ``links`` (the key
+                # request_trace_spans re-cuts the tree with), is tagged
+                # with the first member's trace id, and hands the
+                # compute thread an ambient context parenting
+                # thread-root spans under it.
+                links = tuple(sorted({
+                    req.trace.trace_id for req, _ in pairs
+                    if req.trace is not None
+                }))
+                with telemetry_span(
+                    "service.batch", algorithm=algorithm, backend=backend,
+                    lists=len(lists), links=links,
+                ) as batch_span:
+                    ctx = None
+                    if links:
+                        batch_span.trace_id = links[0]
+                        ctx = TraceContext(links[0], batch_span.span_id)
                     result = await asyncio.wait_for(
-                        loop.run_in_executor(self._pool(), fn), remaining)
-            except (asyncio.TimeoutError, TimeoutError):
-                # The worker thread is abandoned (a thread cannot be
-                # killed); its result is discarded on arrival.
-                METRICS.counter("service.deadline.inflight").inc()
-                self._mark_timeout(pairs)
-                return
-            except POOL_ERRORS as exc:
-                attempt += 1
-                self.retries += 1
-                METRICS.counter("service.retries").inc()
-                if telemetry_enabled():
-                    telemetry_event(
-                        "service.retry", attempt=attempt,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                if attempt > self.config.max_retries:
-                    await self._fallback(
-                        pairs, f"pool retries exhausted: {exc}")
-                    return
-                delay = min(
-                    self.config.base_backoff_s * (2.0 ** (attempt - 1)),
-                    self.config.max_backoff_s,
-                ) * (0.5 + self._rng.random())
-                await asyncio.sleep(
-                    min(delay, max(0.0, budget_end - loop.time())))
-                continue
-            except ReproError as exc:
-                self.engine_faults += 1
-                METRICS.counter("service.engine_faults").inc()
-                if telemetry_enabled():
-                    telemetry_event(
-                        "service.engine_fault", algorithm=algorithm,
-                        backend=backend,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                await self._fallback(pairs, f"{type(exc).__name__}: {exc}")
-                return
-            break
+                        loop.run_in_executor(
+                            self._pool(), partial(_call_traced, ctx, fn)),
+                        remaining)
+            else:
+                result = await asyncio.wait_for(
+                    loop.run_in_executor(self._pool(), fn), remaining)
+        except (asyncio.TimeoutError, TimeoutError):
+            # The worker thread is abandoned (a thread cannot be
+            # killed); its result is discarded on arrival.
+            METRICS.counter("service.deadline.inflight").inc()
+            self._mark_timeout(pairs)
+            return
+        except (ReproError, *POOL_ERRORS) as exc:
+            self.engine_faults += 1
+            METRICS.counter("service.engine_faults").inc()
+            if telemetry_enabled():
+                telemetry_event(
+                    "service.engine_fault", algorithm=algorithm,
+                    backend=backend, error=f"{type(exc).__name__}: {exc}",
+                )
+            await self._fallback(pairs, f"{type(exc).__name__}: {exc}")
+            return
         self.cost.absorb(result.report)
         for (request, entry), matching in zip(pairs, result.matchings):
             self.nodes_served += entry.workload.n

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from ..errors import InvalidParameterError
+from ..parallel.executor import check_workers
 
 __all__ = ["ServiceConfig"]
 
@@ -35,6 +36,8 @@ class ServiceConfig:
         Default compute path for requests that do not choose their
         own: forwarded to
         :func:`repro.backends.batch.batch_maximal_matching`.
+        ``workers`` is checked here, at construction, by the batch
+        driver's own :func:`~repro.parallel.executor.check_workers`.
     max_queue_depth:
         Admission bound on *queued* requests.  Beyond it new requests
         are shed with 429 + ``Retry-After`` — never buffered.
@@ -53,11 +56,6 @@ class ServiceConfig:
         buffers more than this per connection.
     retry_after_s:
         Hint sent in ``Retry-After`` on 429/503 responses.
-    max_retries / base_backoff_s / max_backoff_s:
-        Jittered-exponential retry envelope around *pool* failures
-        (see :data:`repro.parallel.executor.POOL_ERRORS`).  Engine
-        errors skip retries and go straight to the per-request
-        resilience fallback.
     cache_size:
         LRU response-cache capacity in entries (0 disables caching).
     drain_deadline_s:
@@ -67,9 +65,6 @@ class ServiceConfig:
     manifest_path:
         Where the final RunRecord manifest is appended on drain
         (empty string: no manifest).
-    seed:
-        Seeds the backoff jitter — two runs of the same fault script
-        retry on the same schedule.
     compute_threads:
         Size of the thread pool the batcher dispatches compute into
         (1 serializes batches, the deterministic default).
@@ -99,13 +94,9 @@ class ServiceConfig:
     max_deadline_ms: float = 30000.0
     max_request_bytes: int = 32 << 20
     retry_after_s: float = 1.0
-    max_retries: int = 2
-    base_backoff_s: float = 0.05
-    max_backoff_s: float = 1.0
     cache_size: int = 128
     drain_deadline_s: float = 5.0
     manifest_path: str = ""
-    seed: int = 0
     compute_threads: int = 1
     slo_p95_ms: float = 500.0
     slo_availability: float = 0.999
@@ -116,10 +107,9 @@ class ServiceConfig:
         positive = (
             "max_queue_depth", "max_inflight_bytes", "max_batch_items",
             "max_batch_delay_ms", "default_deadline_ms", "max_deadline_ms",
-            "max_request_bytes", "retry_after_s", "base_backoff_s",
-            "max_backoff_s", "drain_deadline_s", "compute_threads",
-            "slo_p95_ms",
-            "live_window_s", "stream_interval_s",
+            "max_request_bytes", "retry_after_s", "drain_deadline_s",
+            "compute_threads", "slo_p95_ms", "live_window_s",
+            "stream_interval_s",
         )
         for name in positive:
             value = getattr(self, name)
@@ -127,10 +117,6 @@ class ServiceConfig:
                 raise InvalidParameterError(
                     f"{name} must be > 0, got {value}"
                 )
-        if self.max_retries < 0:
-            raise InvalidParameterError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
         if self.cache_size < 0:
             raise InvalidParameterError(
                 f"cache_size must be >= 0, got {self.cache_size}"
@@ -149,10 +135,7 @@ class ServiceConfig:
                 f"slo_availability must be in (0, 1], got "
                 f"{self.slo_availability}"
             )
-        if self.workers is not None and self.workers < 1:
-            raise InvalidParameterError(
-                f"workers must be >= 1, got {self.workers}"
-            )
+        check_workers(self.workers)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready view (echoed into the final manifest)."""

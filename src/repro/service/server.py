@@ -290,7 +290,7 @@ class MatchingService:
             p=1,
             time=int(report.time),
             work=int(report.work),
-            seed=cfg.seed,
+            seed=None,
             wall_s=uptime,
             phases=tuple(
                 (ph.name, int(ph.time), int(ph.work), int(ph.steps))
@@ -305,7 +305,6 @@ class MatchingService:
                 "timeouts": self.batcher.timeouts,
                 "errors": self.batcher.errors,
                 "deadline_shed": self.batcher.deadline_shed,
-                "retries": self.batcher.retries,
                 "engine_faults": self.batcher.engine_faults,
                 "degraded": self.batcher.degraded,
                 "batches": self.batcher.batches,
@@ -458,7 +457,6 @@ class MatchingService:
                 "batches": self.batcher.batches,
                 "timeouts": self.batcher.timeouts,
                 "errors": self.batcher.errors,
-                "retries": self.batcher.retries,
                 "degraded": self.batcher.degraded,
                 "deadline_shed": self.batcher.deadline_shed,
                 "engine_faults": self.batcher.engine_faults,

@@ -32,8 +32,9 @@ class TestConfig:
         {"max_batch_delay_ms": -1.0},
         {"default_deadline_ms": 0.0},
         {"cache_size": -1},
-        {"max_retries": -1},
         {"compute_threads": 0},
+        {"workers": True},
+        {"workers": 1.5},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
