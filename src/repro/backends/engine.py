@@ -13,8 +13,14 @@ of vectorized array operations:
   (class, step) key followed by per-step gather/scatter rounds over
   *push* arrays holding each pointer's already-labeled neighbors;
 - the local-minima cut and the alternate-pointer walk are the same
-  gather/scatter loops the reference tier runs, over cached
-  predecessor/successor index arrays.
+  gather/scatter loops the reference tier runs, over predecessor and
+  successor index arrays.
+
+The rounds run over an *arena*: one or more lists laid back to back in
+one flat node space (:class:`_Arena`).  A single list is an arena of
+one, and a batch (:func:`repro.backends.batch.batch_maximal_matching`)
+is an arena of many; both go through the same driver per algorithm.
+Nothing is kept between calls.
 
 Bit-identity and cost parity are the contract: for every supported
 input the engine produces exactly the tails, stats, and Brent
@@ -30,7 +36,7 @@ the per-round working set stays cache-resident.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -58,6 +64,8 @@ __all__ = [
     "cut_and_walk",
     "match1",
     "match4",
+    "check_lists",
+    "match_lists",
 ]
 
 #: Exclusive bound on list sizes (and ``f`` inputs) the engine accepts;
@@ -84,9 +92,9 @@ def _f_values(a: np.ndarray, b: np.ndarray, bound: int, kind: str) -> np.ndarray
         if bound <= (1 << 16):
             k2 = TWO_MSB16[xv]
         else:
-            hi = xv >> 16
-            k2 = np.where(hi != 0, TWO_MSB16[hi] + np.int8(32),
-                          TWO_MSB16[xv & _MASK16])
+            lo = TWO_MSB16[xv & _MASK16]
+            xv >>= 16
+            k2 = np.where(xv != 0, TWO_MSB16[xv] + np.int8(32), lo)
         # k = msb(a ^ b): a and b agree above bit k, so a_k = (a > b).
         return k2 + (a > b)
     iso = xv & -xv
@@ -141,72 +149,72 @@ def f_lsb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cached per-list derived arrays.
+# The arena: one or more lists in one flat node space.
 # ---------------------------------------------------------------------------
 
-class _ListPrep:
-    """Derived index arrays of one list, shared across engine calls.
+class _Arena:
+    """Index arrays of one or more lists laid back to back.
 
-    Mirrors (and extends) the lazy caches on :class:`LinkedList` itself
-    (``pred``, ``order``): all entries are pure functions of the
-    immutable ``NEXT`` array.
+    List ``b`` owns arena addresses ``offsets[b] .. offsets[b + 1] - 1``
+    and its pointers are offset into that range.  Every pointer,
+    predecessor and push stays inside its own list's segment, so a
+    lockstep round over the arena is exactly a round of each list run
+    alone.
+
+    ``pdx`` is the predecessor array, :data:`NIL` at each head.  The
+    per-node work arrays have length ``n + 1``: their last slot is a
+    dummy that absorbs pushes and reads across missing neighbors, and
+    index ``NIL == -1`` lands on it.  So an arena of one list uses the
+    list's own ``NEXT`` and predecessor arrays as they are.
     """
 
-    __slots__ = ("lst", "n", "tailnodes", "nxt", "cnext", "pdx", "ndx",
-                 "has_ptr", "interior", "addr", "xor1", "gt1", "xcache",
-                 "derived")
+    __slots__ = ("lists", "n", "num_lists", "sizes", "offsets", "nxt",
+                 "cnext", "pdx", "has_ptr", "tailnodes")
 
-    def __init__(self, lst: LinkedList) -> None:
-        n = lst.n
-        nxt = lst.next
-        pred = lst.pred
-        cnext = lst.circular_next()
-        has_ptr = nxt != NIL
-        self.lst = lst
+    def __init__(self, lists: Sequence[LinkedList]) -> None:
+        sizes = np.array([lst.n for lst in lists], dtype=np.int64)
+        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        n = int(offsets[-1])
+        if len(lists) == 1:
+            (lst,) = lists
+            nxt = lst.next
+            cnext = lst.circular_next()
+            pdx = lst.pred
+            tailnodes = np.array([lst.tail], dtype=np.int64)
+        else:
+            nxt = np.empty(n, dtype=np.int64)
+            cnext = np.empty(n, dtype=np.int64)
+            pdx = np.empty(n, dtype=np.int64)
+            tailnodes = np.empty(len(lists), dtype=np.int64)
+            for b, lst in enumerate(lists):
+                o = int(offsets[b])
+                hi = o + lst.n
+                seg = nxt[o:hi]
+                seg[:] = lst.next
+                seg[seg != NIL] += o
+                cnext[o:hi] = lst.circular_next()
+                cnext[o:hi] += o
+                pd = lst.pred
+                pdx[o:hi] = np.where(pd == NIL, NIL, pd + o)
+                tailnodes[b] = o + lst.tail
+        self.lists = lists
         self.n = n
-        self.tailnodes = np.array([lst.tail], dtype=np.int64)
+        self.num_lists = len(lists)
+        self.sizes = sizes
+        self.offsets = offsets
         self.nxt = nxt
         self.cnext = cnext
-        # Dummy slot n absorbs pushes/reads across missing neighbors.
-        self.pdx = np.where(pred == NIL, np.int64(n), pred)
-        self.ndx = np.where(has_ptr & has_ptr[cnext], cnext, np.int64(n))
-        self.has_ptr = has_ptr
-        self.interior = has_ptr & (pred != NIL)
-        self.addr = np.arange(n, dtype=np.int64)
-        # Round 1 of f always XORs each address with its successor's:
-        # both operands are list constants, so the XOR (and the a > b
-        # bit selector) are cached too.
-        self.xor1 = self.addr ^ cnext
-        self.gt1 = self.addr > cnext
-        self.xcache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Memoized preprocessing stages (labels, ranks, classification),
-        # keyed by the parameters they are pure functions of.  Cost
-        # charges are replayed on a hit, so CostReports are unaffected.
-        self.derived: dict[tuple, tuple] = {}
+        self.pdx = pdx
+        self.has_ptr = nxt != NIL
+        self.tailnodes = tailnodes
 
-
-_PREP_CACHE: OrderedDict[int, _ListPrep] = OrderedDict()
-_PREP_CACHE_SIZE = 8
-
-
-def _prep_for(lst: LinkedList) -> _ListPrep:
-    key = id(lst)
-    prep = _PREP_CACHE.get(key)
-    if prep is not None and prep.lst is lst:
-        _PREP_CACHE.move_to_end(key)
-        return prep
-    prep = _ListPrep(lst)
-    _PREP_CACHE[key] = prep
-    while len(_PREP_CACHE) > _PREP_CACHE_SIZE:
-        _PREP_CACHE.popitem(last=False)
-    return prep
-
-
-def _remember(prep: _ListPrep, key: tuple, value: tuple) -> None:
-    """Insert into the prep's derived-stage memo, bounded."""
-    if len(prep.derived) >= 16:
-        prep.derived.clear()
-    prep.derived[key] = value
+    def local_addr(self) -> np.ndarray:
+        """Each node's address within its own list, as a fresh array."""
+        addr = np.arange(self.n, dtype=np.int64)
+        if self.num_lists > 1:
+            addr -= np.repeat(self.offsets[:-1], self.sizes)
+        return addr
 
 
 def _require_supported(n: int) -> None:
@@ -217,27 +225,68 @@ def _require_supported(n: int) -> None:
         )
 
 
+def _as_list(lst) -> LinkedList:
+    if not isinstance(lst, LinkedList):
+        lst = LinkedList(lst)
+    _require_supported(lst.n)
+    return lst
+
+
+def _split_matchings(arena: _Arena, tails: np.ndarray,
+                     chosen: np.ndarray) -> tuple[Matching, ...]:
+    """Cut the arena's tails back into per-list verified matchings.
+
+    ``tails`` comes out of ``flatnonzero`` — sorted, unique, in-range
+    pointer tails — so only independence needs checking, one gather
+    against the walk's own ``chosen`` mask.
+    """
+    if np.any(chosen[arena.pdx[tails]]):
+        raise VerificationError(
+            "numpy engine produced adjacent matched pointers"
+        )
+    pieces = np.split(tails, np.searchsorted(tails, arena.offsets[1:-1]))
+    return tuple(
+        Matching(lst, piece - o, pre_verified=True)
+        for lst, piece, o in zip(arena.lists, pieces, arena.offsets.tolist())
+    )
+
+
 # ---------------------------------------------------------------------------
 # Label iteration.
 # ---------------------------------------------------------------------------
 
-def _iterate_labels(prep: _ListPrep, rounds: int, kind: str,
-                    cost: CostModel | None) -> np.ndarray:
-    """``rounds`` f-rounds from addresses; ``int8`` labels (``rounds >= 1``)."""
-    n = prep.n
+def _labels(arena: _Arena, rounds_per_list: np.ndarray, kind: str,
+            cost: CostModel | None) -> np.ndarray:
+    """Per-list ``f`` iteration from local addresses (``int8`` labels).
+
+    List ``b`` iterates ``rounds_per_list[b]`` rounds; its nodes freeze
+    afterwards while longer lists continue.  Lists with zero rounds
+    (singletons) keep their local address ``0``.
+    """
+    max_rounds = int(rounds_per_list.max())
+    if max_rounds == 0:
+        return np.zeros(arena.n, dtype=np.int8)
     if telemetry_enabled():
-        METRICS.counter("engine.f_rounds").inc(rounds)
-    if kind == "msb" and n <= (1 << 16):
-        labels = TWO_MSB16[prep.xor1] + prep.gt1
-    else:
-        labels = _f_values(prep.addr, prep.cnext, n, kind)
+        METRICS.counter("engine.f_rounds").inc(max_rounds)
+    sizes = arena.sizes
+    bound = int(sizes.max())
+    addr = arena.local_addr()
+    succ = arena.cnext if arena.num_lists == 1 else addr[arena.cnext]
+    labels = _f_values(addr, succ, bound, kind)
+    del addr, succ  # free them before the table rounds allocate
+    mixed = bool((rounds_per_list != max_rounds).any())
+    if mixed:
+        needed = np.repeat(rounds_per_list, sizes)
+        # Zero-round (singleton) lists keep their local address, 0.
+        labels[needed < 1] = 0
     if cost is not None:
-        cost.parallel(n)
-    for r in range(2, rounds + 1):
-        labels = _f_table_round(labels, prep.cnext, max_label_after(n, r - 1),
-                                kind)
+        cost.parallel(int(sizes[rounds_per_list >= 1].sum()))
+    for r in range(2, max_rounds + 1):
+        new = _f_table_round(labels, arena.cnext,
+                             max_label_after(bound, r - 1), kind)
+        labels = np.where(needed >= r, new, labels) if mixed else new
         if cost is not None:
-            cost.parallel(n)
+            cost.parallel(int(sizes[rounds_per_list >= r].sum()))
     return labels
 
 
@@ -250,13 +299,11 @@ def iterate_f(lst: LinkedList, rounds: int, *, kind: str = "msb",
     stay on the reference tier.
     """
     require(rounds >= 0, f"rounds must be >= 0, got {rounds}")
-    if not isinstance(lst, LinkedList):
-        lst = LinkedList(lst)
-    _require_supported(lst.n)
+    lst = _as_list(lst)
     if lst.n == 1 or rounds == 0:
         return np.arange(lst.n, dtype=np.int64)
-    prep = _prep_for(lst)
-    return _iterate_labels(prep, rounds, kind, cost).astype(np.int64)
+    labels = _labels(_Arena([lst]), np.array([rounds]), kind, cost)
+    return labels.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +344,11 @@ def walk_segments(nxt: np.ndarray, live: np.ndarray, starts: np.ndarray,
     return np.flatnonzero(chosen), rounds
 
 
-def _cut_and_walk_flat(prep, labels: np.ndarray, cost: CostModel | None,
+def _cut_and_walk_flat(arena: _Arena, labels: np.ndarray,
+                       cost: CostModel | None,
                        max_walk_rounds: int | None = None,
                        ) -> tuple[np.ndarray, CutWalkStats, np.ndarray]:
-    """Shared cut+walk kernel over a prep struct (single list or batch).
+    """Cut+walk over an arena.
 
     ``labels`` may be any signed integer dtype with values ``>= 0``
     (``-1`` serves as the absent-neighbor sentinel) whose order relation
@@ -309,24 +357,25 @@ def _cut_and_walk_flat(prep, labels: np.ndarray, cost: CostModel | None,
     ``chosen`` is the length ``n + 1`` per-node mask (dummy slot false)
     so callers can verify independence without rebuilding it.
     """
-    n = prep.n
-    nxt = prep.nxt
-    lab_next = labels[prep.cnext]
+    n = arena.n
+    nxt = arena.nxt
+    lab_next = labels[arena.cnext]
     lext = np.empty(n + 1, dtype=labels.dtype)
     lext[:n] = labels
     lext[n] = -1
-    lab_prev = lext[prep.pdx]
-    cut = (lab_prev > labels) & (labels < lab_next) & prep.interior
+    lab_prev = lext[arena.pdx]
+    interior = arena.has_ptr & (arena.pdx != NIL)
+    cut = (lab_prev > labels) & (labels < lab_next) & interior
     if cost is not None:
         cost.parallel(n)
 
     # A pointer is *live* when it survived the cut; liveext's dummy slot
     # makes pred/next probes branch-free.
     liveext = np.zeros(n + 1, dtype=bool)
-    np.logical_and(prep.has_ptr, ~cut, out=liveext[:n])
+    np.logical_and(arena.has_ptr, ~cut, out=liveext[:n])
     live = liveext[:n]
     # Segment starts: live pointers not preceded by a live pointer.
-    current = np.flatnonzero(live & ~liveext[prep.pdx])
+    current = np.flatnonzero(live & ~liveext[arena.pdx])
     num_segments = int(current.size)
 
     chosen = np.zeros(n + 1, dtype=bool)
@@ -337,17 +386,17 @@ def _cut_and_walk_flat(prep, labels: np.ndarray, cost: CostModel | None,
         cost.parallel(num_segments, depth=max(1, rounds))
 
     # End repair, per list (see core.cutwalk's module docstring).
-    lp = prep.pdx[prep.tailnodes]
-    lp = lp[lp != n]
+    lp = arena.pdx[arena.tailnodes]
+    lp = lp[lp != NIL]
     lp = lp[~chosen[lp]]
-    repair = lp[~chosen[prep.pdx[lp]]]
+    repair = lp[~chosen[arena.pdx[lp]]]
     chosen[repair] = True
     end_repaired = bool(repair.size)
     if cost is not None:
-        if prep.tailnodes.size == 1:
+        if arena.num_lists == 1:
             cost.sequential(1)
         else:
-            cost.parallel(int(prep.tailnodes.size))
+            cost.parallel(arena.num_lists)
 
     tails = np.flatnonzero(chosen[:n])
     stats = CutWalkStats(
@@ -378,35 +427,60 @@ def cut_and_walk(lst: LinkedList, node_labels: np.ndarray, *,
         return np.empty(0, dtype=np.int64), CutWalkStats(0, 0, 0, False)
     if labels.size and int(labels.min()) < 0:
         raise InvalidParameterError("node_labels must be non-negative")
-    prep = _prep_for(lst)
-    if np.any(labels == labels[prep.cnext]):
+    arena = _Arena([lst])
+    if np.any(labels == labels[arena.cnext]):
         raise VerificationError(
             "node_labels must be distinct on adjacent nodes for the cut"
         )
     tails, stats, _ = _cut_and_walk_flat(
-        prep, np.asarray(labels, dtype=np.int64), cost, max_walk_rounds
+        arena, np.asarray(labels, dtype=np.int64), cost, max_walk_rounds
     )
     return tails, stats
-
-
-def _fast_matching(lst: LinkedList, prep, tails: np.ndarray,
-                   chosen: np.ndarray) -> Matching:
-    """Construct a verified :class:`Matching` from engine tails.
-
-    ``tails`` comes out of ``flatnonzero`` — sorted, unique, in-range
-    pointer tails — so only independence needs checking, one gather
-    against the walk's own ``chosen`` mask.
-    """
-    if np.any(chosen[prep.pdx[tails]]):
-        raise VerificationError(
-            "numpy engine produced adjacent matched pointers"
-        )
-    return Matching(lst, tails, pre_verified=True)
 
 
 # ---------------------------------------------------------------------------
 # Match1.
 # ---------------------------------------------------------------------------
+
+def _match1(lists: Sequence[LinkedList], *, p: int, kind: str = "msb",
+            rounds: int | None = None,
+            ) -> tuple[tuple[Matching, ...], CostReport, CutWalkStats]:
+    """Match1 over ``lists`` as one arena.
+
+    ``rounds=None`` runs ``G(n)`` rounds on each list of ``n`` nodes;
+    singleton lists are never iterated, as in the reference.
+    """
+    _check_rounds(rounds)
+    arena = _Arena(lists)
+    cost = CostModel(p)
+    rpl = (np.full(arena.num_lists, rounds, dtype=np.int64)
+           if rounds is not None
+           else np.array([G(int(nb)) for nb in arena.sizes], dtype=np.int64))
+    rpl[arena.sizes == 1] = 0
+    with cost.phase("iterate"):
+        if int(rpl.max()) > 0:
+            labels = _labels(arena, rpl, kind, cost)
+        else:
+            labels = arena.local_addr()
+    bound = max(CONSTANT_LABEL_BOUND, 2 * CONSTANT_LABEL_BOUND)
+    max_per_list = np.maximum.reduceat(labels, arena.offsets[:-1])
+    bad = np.flatnonzero((max_per_list >= bound) & (arena.sizes > 1))
+    if bad.size:
+        b = int(bad[0])
+        where = f"list {b}: " if arena.num_lists > 1 else ""
+        raise VerificationError(
+            f"{where}labels not constant-size after {int(rpl[b])} rounds "
+            f"(max {int(max_per_list[b])}); pass more rounds"
+        )
+    with cost.phase("cutwalk"):
+        tails, stats, chosen = _cut_and_walk_flat(arena, labels, cost)
+    return _split_matchings(arena, tails, chosen), cost.report(), stats
+
+
+def _check_rounds(rounds: int | None) -> None:
+    require(rounds is None or rounds >= 0,
+            f"rounds must be >= 0, got {rounds}")
+
 
 def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
            rounds: int | None = None,
@@ -417,66 +491,41 @@ def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
     :func:`repro.core.match1.match1` for every supported input.
     """
     require(p >= 1, f"p must be >= 1, got {p}")
-    if not isinstance(lst, LinkedList):
-        lst = LinkedList(lst)
-    n = lst.n
-    _require_supported(n)
-    if rounds is None:
-        rounds = G(n)
-    require(rounds >= 0, f"rounds must be >= 0, got {rounds}")
+    lst = _as_list(lst)
+    if lst.n > 1:
+        (matching,), report, stats = _match1([lst], p=p, kind=kind,
+                                             rounds=rounds)
+        return matching, report, stats
+    _check_rounds(rounds)
     cost = CostModel(p)
-    if n == 1:
-        with cost.phase("iterate"):
-            pass
-        with cost.phase("cutwalk"):
-            pass
-        return (Matching(lst, np.empty(0, dtype=np.int64), pre_verified=True),
-                cost.report(), CutWalkStats(0, 0, 0, False))
-    prep = _prep_for(lst)
     with cost.phase("iterate"):
-        if rounds:
-            dkey = ("m1", kind, rounds)
-            hit = prep.derived.get(dkey)
-            if hit is None:
-                labels = _iterate_labels(prep, rounds, kind, cost)
-                _remember(prep, dkey, (labels,))
-            else:
-                labels = hit[0]
-                for _ in range(rounds):
-                    cost.parallel(n)
-        else:
-            labels = prep.addr
-    max_label = int(labels.max())
-    if max_label >= max(CONSTANT_LABEL_BOUND, 2 * CONSTANT_LABEL_BOUND):
-        raise VerificationError(
-            f"labels not constant-size after {rounds} rounds "
-            f"(max {max_label}); pass more rounds"
-        )
+        pass
     with cost.phase("cutwalk"):
-        tails, stats, chosen = _cut_and_walk_flat(prep, labels, cost)
-    return _fast_matching(lst, prep, tails, chosen), cost.report(), stats
+        pass
+    return (Matching(lst, np.empty(0, dtype=np.int64), pre_verified=True),
+            cost.report(), CutWalkStats(0, 0, 0, False))
 
 
 # ---------------------------------------------------------------------------
 # Match4: block counting ranks + WalkDown sweeps.
 # ---------------------------------------------------------------------------
 
-def _block_ranks(prep, labels8: np.ndarray, x: int) -> np.ndarray:
+def _block_ranks(arena: _Arena, labels8: np.ndarray, x: int) -> np.ndarray:
     """Stable rank of each node's label within its address block.
 
     Equals the row assigned by the reference layout's stable per-column
     counting sort: rank = (#smaller labels in block) + (#equal labels at
     earlier in-block positions).  One bincount builds the per-(block,
-    label) start offsets; ``x`` scatter rounds place the positions.
+    label) start offsets; ``x`` strided scatter rounds place the
+    positions, so all blocks must share the width ``x``: an arena of
+    one list.
     """
-    n = prep.n
+    n = arena.n
     nb = ceil_div(n, x)
-    cached = prep.xcache.get(x)
-    if cached is None:
-        base = (prep.addr // x) * (x + 1)
-        bb = np.arange(nb, dtype=np.int64) * (x + 1)
-        prep.xcache[x] = cached = (base, bb)
-    base, bb = cached
+    base = arena.local_addr()
+    base //= x
+    base *= x + 1
+    bb = np.arange(nb, dtype=np.int64) * (x + 1)
     counts = np.bincount(base + labels8, minlength=nb * (x + 1))
     # Per-block exclusive prefix via one contiguous cumsum: the global
     # exclusive prefix minus each block's start (column x + 1 of each
@@ -496,6 +545,39 @@ def _block_ranks(prep, labels8: np.ndarray, x: int) -> np.ndarray:
         row[pos::x] = r
         rf[idx] = r + 1
     return row
+
+
+def _arena_ranks(arena: _Arena, labels8: np.ndarray, xs: np.ndarray,
+                 ys: np.ndarray) -> np.ndarray:
+    """:func:`_block_ranks` for lists of differing block widths ``xs``.
+
+    Blocks are numbered globally in ascending address order, so equal
+    (block, label) runs stay contiguous under one stable by-label sort;
+    a node's rank is its run's start offset plus its place in the run.
+    """
+    n = arena.n
+    nblocks = np.zeros(arena.num_lists + 1, dtype=np.int64)
+    np.cumsum(ys, out=nblocks[1:])
+    bid = arena.local_addr()
+    bid //= np.repeat(xs, arena.sizes)
+    bid += np.repeat(nblocks[:-1], arena.sizes)
+    width = int(xs.max()) + 1
+    flatbin = bid * width + labels8
+    counts = np.bincount(flatbin, minlength=int(nblocks[-1]) * width)
+    rf = np.empty(counts.size, dtype=np.int64)
+    rf[0] = 0
+    np.cumsum(counts[:-1], out=rf[1:])
+    starts = rf[::width].copy()
+    rf.reshape(-1, width)[:, :] -= starts[:, None]
+    order1 = np.argsort(labels8, kind="stable")
+    srt = flatbin[order1]
+    pos = np.arange(n, dtype=np.int64)
+    runstart = np.maximum.accumulate(
+        np.where(np.r_[True, srt[1:] != srt[:-1]], pos, 0)
+    )
+    seq = np.empty(n, dtype=np.int64)
+    seq[order1] = pos - runstart
+    return (rf[flatbin] + seq).astype(np.int8)
 
 
 _MEX_TABLES: tuple[np.ndarray, ...] | None = None
@@ -523,8 +605,7 @@ def _mex_tables() -> tuple[np.ndarray, ...]:
     return _MEX_TABLES
 
 
-def _sweep_labels6(prep, labels8, row, intra, max_x,
-                   num_lists: int = 1,
+def _sweep_labels6(arena: _Arena, labels8, row, intra, max_x,
                    ) -> tuple[np.ndarray, int, int]:
     """Both WalkDown sweeps: encoded six-set labels per node.
 
@@ -536,20 +617,20 @@ def _sweep_labels6(prep, labels8, row, intra, max_x,
     max_x``), and steps ascend within each class in lockstep across
     lists, which is safe because pushes never cross list boundaries.
     """
-    n = prep.n
+    n = arena.n
     if 3 * max_x - 2 < 255:
         sk = np.where(intra,
                       labels8.view(np.uint8) + row.view(np.uint8)
                       + np.uint8(max_x),
                       row.view(np.uint8))
-        sk[~prep.has_ptr] = np.uint8(255)
+        sk[~arena.has_ptr] = np.uint8(255)
     else:
         sk = np.where(intra,
                       labels8.astype(np.int16) + row + np.int16(max_x),
                       row.astype(np.int16))
-        sk[~prep.has_ptr] = np.int16(32000)
+        sk[~arena.has_ptr] = np.int16(32000)
     order = np.argsort(sk, kind="stable")
-    num_ptrs = n - num_lists
+    num_ptrs = n - arena.num_lists
     tt = order[:num_ptrs]
     sks = sk[tt]
     bounds = np.searchsorted(sks, np.arange(3 * max_x, dtype=np.int64)
@@ -559,8 +640,9 @@ def _sweep_labels6(prep, labels8, row, intra, max_x,
     max_inter = int(sks[inter_count - 1]) if inter_count else -1
     max_intra = (int(sks[num_ptrs - 1]) - max_x
                  if num_ptrs > inter_count else -1)
-    pdt = prep.pdx[tt]
-    ndt = prep.ndx[tt]
+    pdt = arena.pdx[tt]
+    ndt = arena.nxt[tt]
+    ndt[~arena.has_ptr[ndt]] = NIL   # no right neighbor: the dummy
     mexi, mexi7, mexa, mexa7 = _mex_tables()
     cl7 = np.zeros(n + 1, dtype=np.int8)   # 7 * encoded left-neighbor label
     cre = np.zeros(n + 1, dtype=np.int8)   # encoded right-neighbor label
@@ -586,16 +668,88 @@ def _sweep_labels6(prep, labels8, row, intra, max_x,
     return l6e, max_inter, max_intra
 
 
-def _check_sweeps(prep, sk_like_labels6, lst_list) -> None:
-    """``check=True`` invariants: six-set partition per list."""
-    from ..core.partition import verify_matching_partition
+def _match4(lists: Sequence[LinkedList], *, p: int, iterations: int = 2,
+            kind: str = "msb", strategy: str = "iterate",
+            memory_limit: int = 1 << 24, step1_table=None,
+            check: bool = False,
+            ) -> tuple[tuple[Matching, ...], CostReport, Match4Stats]:
+    """Match4 over ``lists`` as one arena.
 
-    offset = 0
-    for lst in lst_list:
-        nb = lst.n
-        raw = sk_like_labels6[offset:offset + nb].astype(np.int64) - 1
-        verify_matching_partition(lst, raw)
-        offset += nb
+    List ``b`` of ``n_b >= 2`` nodes gets its own block width ``x_b``
+    and ``y_b`` blocks; the stats report the widest ``x`` and the total
+    ``y``, which for one list are the reference's own.  The ``"table"``
+    step-1 strategy stays reference-only; ``memory_limit`` is its
+    budget, accepted for signature parity.
+    """
+    _check_match4(iterations, strategy, step1_table)
+    arena = _Arena(lists)
+    i = iterations
+    cost = CostModel(p)
+    n = arena.n
+    active = arena.sizes >= 2
+    with cost.phase("partition"):
+        labels = _labels(arena, np.where(active, i, 0), kind, cost)
+    xs = np.array(
+        [max(2, max_label_after(int(nb), i)) if nb > 1 else 1
+         for nb in arena.sizes],
+        dtype=np.int64,
+    )
+    ys = (arena.sizes + xs - 1) // xs
+    x = int(xs.max())
+    y = int(ys[active].sum())
+    with cost.phase("sort"):
+        if arena.num_lists == 1:
+            row = _block_ranks(arena, labels, x)
+        else:
+            row = _arena_ranks(arena, labels, xs, ys)
+        cost.parallel(y, depth=x)
+    intra = arena.has_ptr & (row == row[arena.cnext])
+    num_intra = int(np.count_nonzero(intra))
+    num_inter = (n - arena.num_lists) - num_intra
+
+    with telemetry_span("engine.sweep", n=n, x=x, y=y) as sp:
+        rt = _resources.phase_begin("engine.sweep")
+        try:
+            l6e, max_inter, max_intra = _sweep_labels6(arena, labels, row,
+                                                       intra, x)
+        finally:
+            if rt is not None:
+                _resources.phase_end(rt, None, sp)
+        sp.set(max_inter=max_inter, max_intra=max_intra)
+    with cost.phase("walkdown1"):
+        if num_inter:
+            cost.parallel(y, depth=max(1, max_inter + 1))
+    with cost.phase("walkdown2"):
+        if num_intra:
+            cost.parallel(y, depth=max(1, max_intra + 1))
+    if check:
+        from ..core.partition import verify_matching_partition
+
+        for lst, o in zip(arena.lists, arena.offsets.tolist()):
+            raw = l6e[o:o + lst.n].astype(np.int64) - 1
+            verify_matching_partition(lst, raw)
+
+    with cost.phase("cutwalk"):
+        tails, cw, chosen = _cut_and_walk_flat(arena, l6e, cost)
+    stats = Match4Stats(
+        i=i, strategy="iterate", x=x, y=y,
+        num_inter=num_inter, num_intra=num_intra, cutwalk=cw,
+    )
+    return _split_matchings(arena, tails, chosen), cost.report(), stats
+
+
+def _check_match4(iterations: int, strategy: str, step1_table) -> None:
+    require(iterations >= 1, f"iterations must be >= 1, got {iterations}")
+    if strategy != "iterate":
+        raise InvalidParameterError(
+            f"numpy backend implements strategy='iterate' only, got "
+            f"{strategy!r}; use backend='reference' for the table strategy"
+        )
+    if step1_table is not None:
+        raise InvalidParameterError(
+            "step1_table belongs to the 'table' strategy; the numpy "
+            "backend takes neither"
+        )
 
 
 def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
@@ -609,81 +763,57 @@ def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
     :func:`repro.core.match4.match4` for every supported input.  Unlike
     the reference, ``check`` defaults to ``False``: the engine verifies
     matching independence inline for free, and ``check=True`` adds the
-    full six-set partition verification.  The ``"table"`` step-1
-    strategy stays reference-only.
+    full six-set partition verification.
     """
     require(p >= 1, f"p must be >= 1, got {p}")
-    require(iterations >= 1, f"i must be >= 1, got {iterations}")
-    if strategy != "iterate":
-        raise InvalidParameterError(
-            f"numpy backend implements strategy='iterate' only, got "
-            f"{strategy!r}; use backend='reference' for the table strategy"
+    lst = _as_list(lst)
+    if lst.n > 1:
+        (matching,), report, stats = _match4(
+            [lst], p=p, iterations=iterations, kind=kind, strategy=strategy,
+            memory_limit=memory_limit, step1_table=step1_table, check=check,
         )
-    if step1_table is not None:
-        raise InvalidParameterError(
-            "step1_table belongs to the 'table' strategy; the numpy "
-            "backend takes neither"
-        )
-    _ = memory_limit  # table-strategy budget; accepted for signature parity
-    if not isinstance(lst, LinkedList):
-        lst = LinkedList(lst)
-    n = lst.n
-    _require_supported(n)
-    i = iterations
-    cost = CostModel(p)
-    if n == 1:
-        return (
-            Matching(lst, np.empty(0, dtype=np.int64), pre_verified=True),
-            cost.report(),
-            Match4Stats(i, strategy, 1, 1, 0, 0, CutWalkStats(0, 0, 0, False)),
-        )
-    prep = _prep_for(lst)
-    dkey = ("m4", kind, i)
-    hit = prep.derived.get(dkey)
-    x = max(2, max_label_after(n, i))
-    y = ceil_div(n, x)
-
-    if hit is None:
-        with cost.phase("partition"):
-            labels = _iterate_labels(prep, i, kind, cost)
-        with cost.phase("sort"):
-            row = _block_ranks(prep, labels, x)
-            cost.parallel(y, depth=x)
-        intra = prep.has_ptr & (row == row[prep.cnext])
-        num_intra = int(np.count_nonzero(intra))
-        _remember(prep, dkey, (labels, row, intra, num_intra))
-    else:
-        labels, row, intra, num_intra = hit
-        with cost.phase("partition"):
-            for _ in range(i):
-                cost.parallel(n)
-        with cost.phase("sort"):
-            cost.parallel(y, depth=x)
-    num_inter = (n - 1) - num_intra
-
-    with telemetry_span("engine.sweep", n=n, x=x, y=y) as sp:
-        rt = _resources.phase_begin("engine.sweep")
-        try:
-            l6e, max_inter, max_intra = _sweep_labels6(prep, labels, row,
-                                                       intra, x)
-        finally:
-            if rt is not None:
-                _resources.phase_end(rt, None, sp)
-        sp.set(max_inter=max_inter, max_intra=max_intra)
-    with cost.phase("walkdown1"):
-        if num_inter:
-            cost.parallel(y, depth=max(1, max_inter + 1))
-    with cost.phase("walkdown2"):
-        if num_intra:
-            cost.parallel(y, depth=max(1, max_intra + 1))
-    if check:
-        _check_sweeps(prep, l6e, [lst])
-
-    with cost.phase("cutwalk"):
-        tails, cw, chosen = _cut_and_walk_flat(prep, l6e, cost)
-    matching = _fast_matching(lst, prep, tails, chosen)
-    stats = Match4Stats(
-        i=i, strategy=strategy, x=x, y=y,
-        num_inter=num_inter, num_intra=num_intra, cutwalk=cw,
+        return matching, report, stats
+    _check_match4(iterations, strategy, step1_table)
+    return (
+        Matching(lst, np.empty(0, dtype=np.int64), pre_verified=True),
+        CostModel(p).report(),
+        Match4Stats(iterations, strategy, 1, 1, 0, 0,
+                    CutWalkStats(0, 0, 0, False)),
     )
-    return matching, cost.report(), stats
+
+
+# ---------------------------------------------------------------------------
+# Many lists in one call.
+# ---------------------------------------------------------------------------
+
+_DRIVERS = {"match1": _match1, "match4": _match4}
+
+
+def check_lists(algorithm: str, lists: Sequence[LinkedList]) -> None:
+    """Raise unless :func:`match_lists` can run ``algorithm`` on ``lists``."""
+    if algorithm not in _DRIVERS:
+        raise InvalidParameterError(
+            f"batch on the numpy backend implements {sorted(_DRIVERS)}, "
+            f"not {algorithm!r}; use backend='reference' for the per-list "
+            f"loop"
+        )
+    if lists:
+        _require_supported(max(lst.n for lst in lists))
+
+
+def match_lists(lists: Sequence[LinkedList], algorithm: str, *, p: int = 1,
+                **options: Any,
+                ) -> tuple[tuple[Matching, ...], CostReport]:
+    """Run ``algorithm`` once over all of ``lists``, as one arena.
+
+    ``options`` are the keyword arguments of :func:`match1` or
+    :func:`match4`.  Returns one verified :class:`Matching` per list,
+    in order, each bit-identical to a per-list call, and the aggregate
+    lockstep :class:`CostReport`: one phase structure for the whole
+    arena, each round charged at the width of all lists still active.
+    """
+    check_lists(algorithm, lists)
+    if not lists:
+        return (), CostModel(p).report()
+    matchings, report, _ = _DRIVERS[algorithm](lists, p=p, **options)
+    return matchings, report

@@ -15,9 +15,7 @@ communication-volume bounds of the related work) care about:
   exact serialized payload bytes of every shard hop: submit bytes
   (each list's ``NEXT`` array as ``int64`` raw bytes, ``n * 8`` per
   list), result bytes (each matching's tail array, ``matched * 8``),
-  and the pickled size of the replayed worker span dicts.  These are
-  the bytes the ROADMAP's zero-copy shared-memory rewrite must drive
-  to ~0 — this ledger is that claim's "before" number.
+  and the pickled size of the replayed worker span dicts.
 - **Per-phase bandwidth estimates** — bytes touched divided by the
   phase span's wall-clock, under the documented bytes-touched model
   below.

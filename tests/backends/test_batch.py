@@ -93,3 +93,33 @@ class TestBatchApi:
 
     def test_top_level_export(self):
         assert repro.batch_maximal_matching is batch_maximal_matching
+
+
+class TestBatchOfOne:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 1023, 1024])
+    def test_same_as_single_list_call(self, n):
+        lst = repro.random_list(n, rng=n)
+        for algorithm, kwargs in [("match1", {}), ("match1", {"rounds": 5}),
+                                  ("match4", {"iterations": 1}),
+                                  ("match4", {"iterations": 3,
+                                              "kind": "lsb"})]:
+            solo = repro.maximal_matching(lst, algorithm=algorithm,
+                                          backend="numpy", p=2, **kwargs)
+            batch = batch_maximal_matching([lst], algorithm=algorithm, p=2,
+                                           **kwargs)
+            assert np.array_equal(batch[0].tails, solo.matching.tails)
+            assert batch.report == solo.report, (n, algorithm, kwargs)
+
+    def test_check_mode_on_many_lists(self):
+        lists = _mixed_lists(range(4), [1, 9, 300, 64])
+        batch = batch_maximal_matching(lists, check=True, iterations=3)
+        for lst, bm in zip(lists, batch.matchings):
+            ref = repro.maximal_matching(lst, backend="reference",
+                                         iterations=3)
+            assert np.array_equal(bm.tails, ref.matching.tails)
+
+    def test_bad_iterations_names_the_keyword(self):
+        lists = _mixed_lists(range(2), [16, 17])
+        with pytest.raises(InvalidParameterError,
+                           match="iterations must be >= 1, got 0"):
+            batch_maximal_matching(lists, iterations=0)

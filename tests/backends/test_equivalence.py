@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.backends import engine
+from repro.backends.batch import batch_maximal_matching
 from repro.core import cutwalk as ref_cutwalk
 from repro.core import functions as ref_functions
 from repro.errors import InvalidParameterError, VerificationError
@@ -115,6 +116,15 @@ class TestBuildingBlockParity:
         assert np.array_equal(engine.f_msb(a, b), ref_functions.f_msb(a, b))
         assert np.array_equal(engine.f_lsb(a, b), ref_functions.f_lsb(a, b))
 
+    def test_f_two_level_tables(self):
+        # values at or above 2**16 take the two-level table lookup
+        rng = np.random.default_rng(1)
+        a = rng.integers(0, 2**31 - 1, 50_000)
+        b = rng.integers(0, 2**31 - 1, 50_000)
+        a, b = a[a != b], b[a != b]
+        assert np.array_equal(engine.f_msb(a, b), ref_functions.f_msb(a, b))
+        assert np.array_equal(engine.f_lsb(a, b), ref_functions.f_lsb(a, b))
+
     def test_f_rejects_equal_operands(self):
         a = np.array([3, 5], dtype=np.int64)
         with pytest.raises(InvalidParameterError):
@@ -146,3 +156,111 @@ class TestBuildingBlockParity:
             engine.match1(lst, rounds=1)
         with pytest.raises(VerificationError, match="constant-size"):
             repro.match1(lst, rounds=1)
+
+
+def _outcome(fn):
+    """``("ok", value)`` or ``("raised", type, message)`` of ``fn()``."""
+    try:
+        return ("ok", fn())
+    except (InvalidParameterError, VerificationError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+class TestArenaOfOne:
+    """A single-list engine call is a batch of one list: same tails,
+    reports and errors as the batch and the reference."""
+
+    SIZES = [2, 3, 7, 8, 1023, 1024]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", ["msb", "lsb"])
+    def test_match4(self, n, kind):
+        lst = repro.random_list(n, rng=n)
+        for iterations in (1, 2, 3):
+            kw = {"iterations": iterations, "kind": kind}
+            ref = repro.maximal_matching(
+                lst, algorithm="match4", backend="reference", p=4, **kw)
+            m, report, stats = engine.match4(lst, p=4, **kw)
+            batch = batch_maximal_matching([lst], algorithm="match4", p=4,
+                                           **kw)
+            label = (n, kind, iterations)
+            assert np.array_equal(m.tails, ref.matching.tails), label
+            assert np.array_equal(batch[0].tails, ref.matching.tails), label
+            assert stats == ref.stats, label
+            assert report == ref.report == batch.report, label
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", ["msb", "lsb"])
+    def test_match1(self, n, kind):
+        lst = repro.random_list(n, rng=n + 1)
+        for rounds in (None, 0, 1, 5):
+            kw = {"kind": kind, "rounds": rounds}
+
+            def via_batch():
+                res = batch_maximal_matching([lst], algorithm="match1",
+                                             p=4, **kw)
+                return res[0].tails.tolist(), res.report
+
+            def via_engine():
+                m, report, stats = engine.match1(lst, p=4, **kw)
+                return m.tails.tolist(), report, stats
+
+            def via_reference():
+                res = repro.maximal_matching(
+                    lst, algorithm="match1", backend="reference", p=4, **kw)
+                return res.matching.tails.tolist(), res.report, res.stats
+
+            ref, vec, bat = _outcome(via_reference), _outcome(via_engine), \
+                _outcome(via_batch)
+            label = (n, kind, rounds)
+            if ref[0] == "raised":
+                assert vec[0] == bat[0] == "raised", label
+                assert vec[1] is bat[1] is ref[1], label
+                assert vec[2] == bat[2], label
+            else:
+                assert vec == ref, label
+                assert bat[0] == "ok" and bat[1] == ref[1][:2], label
+
+    def test_check_mode(self):
+        lst = repro.random_list(1000, rng=5)
+        ref = repro.maximal_matching(lst, algorithm="match4",
+                                     backend="reference", check=True)
+        m, report, stats = engine.match4(lst, check=True)
+        batch = batch_maximal_matching([lst], check=True)
+        assert np.array_equal(m.tails, ref.matching.tails)
+        assert np.array_equal(batch[0].tails, ref.matching.tails)
+        assert report == ref.report == batch.report
+        assert stats == ref.stats
+
+    def test_repeat_call_equals_fresh_copy(self):
+        lst = repro.random_list(1024, rng=11)
+        for fn in (engine.match1, engine.match4):
+            first = fn(lst)
+            again = fn(lst)
+            fresh = fn(repro.LinkedList(lst.next.copy()))
+            for other in (again, fresh):
+                assert np.array_equal(other[0].tails, first[0].tails)
+                assert other[1] == first[1]
+                assert other[2] == first[2]
+
+    def test_interleaved_lists_match_reference(self):
+        # More lists than any per-list cache could hold, each matched
+        # twice in round-robin order.
+        lists = [repro.random_list(64 + 37 * k, rng=k) for k in range(12)]
+        refs = [repro.maximal_matching(lst, algorithm="match4",
+                                       backend="reference")
+                for lst in lists]
+        for _ in range(2):
+            for lst, ref in zip(lists, refs):
+                m, report, stats = engine.match4(lst)
+                assert np.array_equal(m.tails, ref.matching.tails)
+                assert report == ref.report
+                assert stats == ref.stats
+
+    def test_iterations_error_names_the_keyword(self):
+        lst = repro.random_list(16, rng=0)
+        for call in (lambda: engine.match4(lst, iterations=0),
+                     lambda: batch_maximal_matching([lst], iterations=0)):
+            with pytest.raises(InvalidParameterError,
+                               match="iterations must be >= 1"):
+                call()
