@@ -131,7 +131,7 @@ def verify_sample(results: list[dict], sample: int, seed: int) -> int:
     """Recompute ``sample`` successful responses on the reference tier
     and require bit-identical tails.  Returns the number verified."""
     from repro.core.maximal_matching import maximal_matching
-    from repro.service.workload import LAYOUTS
+    from repro.lists import LAYOUTS
 
     ok = [r for r in results if r["status"] == 200 and r.get("tails")
           is not None]

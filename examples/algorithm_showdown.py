@@ -32,9 +32,9 @@ def main() -> None:
             ("match3", {}),
             ("match4", {"iterations": 3, "check": False}),
         ):
-            _, report, _ = repro.maximal_matching(
+            report = repro.maximal_matching(
                 lst, algorithm=alg, p=p, **kw
-            )
+            ).report
             row[alg] = report.time
             row[alg + "_eff"] = n / (p * report.time)
         rows.append(row)
@@ -65,9 +65,9 @@ def main() -> None:
         for alg, kw in (("match1", {}), ("match2", {}),
                         ("match3", {}), ("match4", {"iterations": 3,
                                                     "check": False})):
-            _, report, _ = repro.maximal_matching(
+            report = repro.maximal_matching(
                 sub, algorithm=alg, p=m, **kw
-            )
+            ).report
             row[alg] = report.time
         growth_rows.append(row)
     print(format_table(

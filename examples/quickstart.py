@@ -40,9 +40,10 @@ def main() -> None:
     #    count; iterations trades partition depth against sweep length.
     # ------------------------------------------------------------------
     p = n // 16
-    matching, report, stats = repro.maximal_matching(
+    result = repro.maximal_matching(
         lst, algorithm="match4", p=p, iterations=2
     )
+    matching, report, stats = result.matching, result.report, result.stats
     print(f"\nMatch4 on p={p} processors:")
     print(f"  matched {matching.size} of {n - 1} pointers "
           f"(maximal: {matching.is_maximal})")

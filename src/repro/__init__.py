@@ -19,8 +19,6 @@ Quick start::
         lst, algorithm="match4", backend="numpy", p=64, iterations=2
     )
     print(result.matching.size, result.report.time, result.report.cost)
-    # or, unpacking the legacy 3-tuple:
-    matching, report, stats = result
 
 ``backend="numpy"`` runs each PRAM round as one batch of vectorized
 array operations (bit-identical results, an order of magnitude faster
@@ -57,7 +55,6 @@ from .lists import (
 )
 from .core import (
     ALGORITHMS,
-    AlgorithmInfo,
     Matching,
     MatchingPartition,
     MatchResult,
@@ -69,7 +66,6 @@ from .core import (
     match3,
     match4,
     maximal_matching,
-    register_algorithm,
     verify_matching,
     verify_maximal_matching,
 )
@@ -85,7 +81,7 @@ from .baselines import random_mate_matching, sequential_matching, wyllie_ranks
 from .pram import PRAM, AccessMode, CostModel, CostReport
 from .bits import G, ilog2, log_G
 from . import backends
-from .backends import BACKENDS, Backend
+from .backends import AlgorithmInfo
 from .backends.batch import BatchMatchResult, batch_maximal_matching
 from . import parallel
 from .resilience import resilient_matching
@@ -112,10 +108,10 @@ __all__ = [
     "ALGORITHMS", "AlgorithmInfo", "Matching", "MatchingPartition",
     "MatchResult", "f_msb", "f_lsb",
     "iterate_f", "match1", "match2", "match3", "match4",
-    "maximal_matching", "register_algorithm",
+    "maximal_matching",
     "verify_matching", "verify_maximal_matching",
     # backends
-    "BACKENDS", "Backend", "BatchMatchResult", "batch_maximal_matching",
+    "BatchMatchResult", "batch_maximal_matching",
     # resilience
     "resilient_matching",
     # dynamic

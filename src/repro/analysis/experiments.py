@@ -34,9 +34,8 @@ def measure_matching(
     (phase → time dict) plus the algorithm's stats object under
     ``stats``.
     """
-    matching, report, stats = maximal_matching(
-        lst, algorithm=algorithm, p=p, **kwargs
-    )
+    result = maximal_matching(lst, algorithm=algorithm, p=p, **kwargs)
+    matching, report = result.matching, result.report
     if verify:
         verify_maximal_matching(lst, matching.tails)
     return {
@@ -48,7 +47,7 @@ def measure_matching(
         "cost": report.cost,
         "matched": matching.size,
         "phases": {ph.name: ph.time for ph in report.phases},
-        "stats": stats,
+        "stats": result.stats,
     }
 
 

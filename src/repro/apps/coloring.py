@@ -139,16 +139,12 @@ def three_coloring_via_matching(
     An alternative to :func:`three_coloring` (which iterates ``f``
     directly); both are verified proper, and E8 compares their costs.
     """
-    from ..core.maximal_matching import ALGORITHMS
-    from ..errors import InvalidParameterError
+    from ..backends import ALGORITHMS, resolve
 
     require(p >= 1, f"p must be >= 1, got {p}")
     require(base_size >= 2, f"base_size must be >= 2, got {base_size}")
-    if matcher not in ALGORITHMS:
-        raise InvalidParameterError(
-            f"unknown matcher {matcher!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    match_fn = ALGORITHMS[matcher]
+    resolve(matcher, "reference", lst.n)  # the apps run the oracle tier
+    match_fn = ALGORITHMS[matcher].fn
     n = lst.n
     cost = CostModel(p)
     nxt = lst.next.copy()

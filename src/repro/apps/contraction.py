@@ -31,10 +31,10 @@ from typing import Any
 import numpy as np
 
 from .._util import require
-from ..errors import InvalidParameterError, VerificationError
+from ..errors import VerificationError
 from ..lists.linked_list import NIL, LinkedList
 from ..core.matching import verify_maximal_matching
-from ..core.maximal_matching import ALGORITHMS
+from ..backends import ALGORITHMS, resolve
 from ..pram.cost import CostModel, CostReport
 
 __all__ = [
@@ -86,11 +86,8 @@ def uniform_contraction(
     maintained matching in.
     """
     require(p >= 1, f"p must be >= 1, got {p}")
-    if matcher not in ALGORITHMS:
-        raise InvalidParameterError(
-            f"unknown matcher {matcher!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    match_fn = ALGORITHMS[matcher]
+    resolve(matcher, "reference", lst.n)  # the apps run the oracle tier
+    match_fn = ALGORITHMS[matcher].fn
     n = lst.n
     cost = CostModel(p)
     nxt = lst.next.copy()

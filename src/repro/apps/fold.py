@@ -35,7 +35,7 @@ import numpy as np
 from .._util import as_index_array, require
 from ..errors import InvalidParameterError
 from ..lists.linked_list import NIL, LinkedList
-from ..core.maximal_matching import ALGORITHMS
+from ..backends import ALGORITHMS, resolve
 from ..pram.cost import CostModel, CostReport
 
 __all__ = ["OPERATORS", "list_suffix_fold", "list_prefix_fold"]
@@ -81,12 +81,9 @@ def list_suffix_fold(
         raise InvalidParameterError(
             f"unknown operator {op!r}; choose from {sorted(OPERATORS)}"
         )
-    if matcher not in ALGORITHMS:
-        raise InvalidParameterError(
-            f"unknown matcher {matcher!r}; choose from {sorted(ALGORITHMS)}"
-        )
+    resolve(matcher, "reference", lst.n)  # the apps run the oracle tier
     combine = OPERATORS[op]
-    match_fn = ALGORITHMS[matcher]
+    match_fn = ALGORITHMS[matcher].fn
     values = as_index_array(values, name="values")
     n = lst.n
     if values.size != n:

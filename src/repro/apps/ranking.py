@@ -32,7 +32,7 @@ from .._util import require
 from ..errors import InvalidParameterError
 from ..lists.linked_list import NIL, LinkedList
 from ..baselines.wyllie import wyllie_ranks
-from ..core.maximal_matching import ALGORITHMS
+from ..backends import ALGORITHMS, resolve
 from ..pram.cost import CostModel, CostReport
 
 __all__ = [
@@ -77,8 +77,7 @@ def contraction_ranks(
     p:
         Processor count for the cost accounting.
     matcher:
-        Any algorithm registered in
-        :data:`repro.core.maximal_matching.ALGORITHMS`.
+        Any algorithm in :data:`repro.backends.ALGORITHMS`.
     base_size:
         Below this many survivors, finish with a sequential walk.
     matcher_kwargs:
@@ -88,11 +87,8 @@ def contraction_ranks(
     """
     require(p >= 1, f"p must be >= 1, got {p}")
     require(base_size >= 4, f"base_size must be >= 4, got {base_size}")
-    if matcher not in ALGORITHMS:
-        raise InvalidParameterError(
-            f"unknown matcher {matcher!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    match_fn = ALGORITHMS[matcher]
+    resolve(matcher, "reference", lst.n)  # the apps run the oracle tier
+    match_fn = ALGORITHMS[matcher].fn
     n = lst.n
     cost = CostModel(p)
     nxt = lst.next.copy()

@@ -110,10 +110,10 @@ def batch_maximal_matching(
     falls back to serial execution (``parallel.fallback`` telemetry
     event) rather than erroring.
 
-    ``backend="auto"`` resolves once for the whole batch (fused
-    execution needs one backend) through
-    :func:`repro.backends.resolve_auto`, sized by the largest list;
-    ``result.backend`` names the concrete pick.
+    ``backend`` goes through :func:`repro.backends.resolve` once for
+    the whole batch (fused execution needs one backend): ``"auto"`` is
+    sized by the largest list, and ``result.backend`` names the
+    concrete pick.
 
     Kwargs are validated exactly as in :func:`repro.maximal_matching`
     (canonical names, unknown rejected).
@@ -123,27 +123,18 @@ def batch_maximal_matching(
     :class:`CostReport`, and :class:`BatchStats`.
     """
     from ..core.maximal_matching import (
-        ALGORITHMS,
         maximal_matching,
         normalize_algorithm_kwargs,
     )
-    from . import AUTO, get_backend, resolve_auto
+    from . import resolve
     from ..parallel.executor import check_workers, run_sharded_batch
 
-    if algorithm not in ALGORITHMS:
-        raise InvalidParameterError(
-            f"unknown algorithm {algorithm!r}; choose from "
-            f"{sorted(ALGORITHMS)}"
-        )
     if p < 1:
         raise InvalidParameterError(f"p must be >= 1, got {p}")
     lls = [lst if isinstance(lst, LinkedList) else LinkedList(lst)
            for lst in lists]
-
-    if backend == AUTO:
-        backend = resolve_auto(algorithm, max((l.n for l in lls), default=1))
-
-    get_backend(backend)  # validate the name even for the loop path
+    backend = resolve(algorithm, backend,
+                      max((l.n for l in lls), default=1))
     eff_workers = check_workers(workers)
     kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
 
@@ -157,9 +148,6 @@ def batch_maximal_matching(
     ):
         sharded = None
         if eff_workers > 1 and len(lls) > 1:
-            if backend == "numpy":
-                # Fail fast (and identically to serial) before forking.
-                engine.check_lists(algorithm, lls)
             sharded = run_sharded_batch(
                 lls, algorithm=algorithm, p=p, kwargs=kwargs,
                 workers=eff_workers, backend=backend,

@@ -64,7 +64,6 @@ __all__ = [
     "cut_and_walk",
     "match1",
     "match4",
-    "check_lists",
     "match_lists",
 ]
 
@@ -786,19 +785,8 @@ def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
 # Many lists in one call.
 # ---------------------------------------------------------------------------
 
+#: The algorithms the numpy backend implements, with their arena drivers.
 _DRIVERS = {"match1": _match1, "match4": _match4}
-
-
-def check_lists(algorithm: str, lists: Sequence[LinkedList]) -> None:
-    """Raise unless :func:`match_lists` can run ``algorithm`` on ``lists``."""
-    if algorithm not in _DRIVERS:
-        raise InvalidParameterError(
-            f"batch on the numpy backend implements {sorted(_DRIVERS)}, "
-            f"not {algorithm!r}; use backend='reference' for the per-list "
-            f"loop"
-        )
-    if lists:
-        _require_supported(max(lst.n for lst in lists))
 
 
 def match_lists(lists: Sequence[LinkedList], algorithm: str, *, p: int = 1,
@@ -806,14 +794,16 @@ def match_lists(lists: Sequence[LinkedList], algorithm: str, *, p: int = 1,
                 ) -> tuple[tuple[Matching, ...], CostReport]:
     """Run ``algorithm`` once over all of ``lists``, as one arena.
 
-    ``options`` are the keyword arguments of :func:`match1` or
-    :func:`match4`.  Returns one verified :class:`Matching` per list,
-    in order, each bit-identical to a per-list call, and the aggregate
-    lockstep :class:`CostReport`: one phase structure for the whole
-    arena, each round charged at the width of all lists still active.
+    ``algorithm`` is a key of the driver table (callers check it with
+    :func:`repro.backends.resolve`); ``options`` are the keyword
+    arguments of :func:`match1` or :func:`match4`.  Returns one verified
+    :class:`Matching` per list, in order, each bit-identical to a
+    per-list call, and the aggregate lockstep :class:`CostReport`: one
+    phase structure for the whole arena, each round charged at the
+    width of all lists still active.
     """
-    check_lists(algorithm, lists)
     if not lists:
         return (), CostModel(p).report()
+    _require_supported(max(lst.n for lst in lists))
     matchings, report, _ = _DRIVERS[algorithm](lists, p=p, **options)
     return matchings, report

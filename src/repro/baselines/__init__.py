@@ -11,26 +11,12 @@
   ranking: the ``Theta(n log n)``-work baseline the matching-based
   optimal ranking of :mod:`repro.apps.ranking` is measured against.
 
-Importing this package registers ``"sequential"`` and ``"random_mate"``
-in :data:`repro.core.maximal_matching.ALGORITHMS`.
+Both matching baselines are entries of the static algorithm table
+:data:`repro.backends.ALGORITHMS` (``"sequential"``, ``"random_mate"``).
 """
 
-from ..core.maximal_matching import ALGORITHMS, register_algorithm
 from .sequential import sequential_matching
 from .random_mate import random_mate_matching
 from .wyllie import wyllie_ranks
-
-if "sequential" not in ALGORITHMS:
-    register_algorithm(
-        "sequential", sequential_matching,
-        paper_section="§1, the T_1 = Θ(n) bound in the optimality "
-                      "definition p·T = O(T_1)",
-    )
-if "random_mate" not in ALGORITHMS:
-    register_algorithm(
-        "random_mate", random_mate_matching,
-        paper_section="§1, the randomized symmetry breaking of [13,16] "
-                      "the paper's deterministic algorithms replace",
-    )
 
 __all__ = ["sequential_matching", "random_mate_matching", "wyllie_ranks"]

@@ -4,7 +4,7 @@ Gives the library a shell-usable face:
 
 - ``match``  — run one maximal-matching algorithm, print the summary
   and phase breakdown (``--backend numpy`` for the vectorized engine).
-- ``algorithms`` — list the registered algorithms with their backends,
+- ``algorithms`` — list the algorithms with their backends,
   paper sections, and keyword parameters.
 - ``rank``   — list ranking by contraction / Wyllie / sequential.
 - ``color``  — 3-coloring summary.
@@ -46,49 +46,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .backends import ALGORITHMS, BACKEND_CHOICES, DISPATCH
+from .lists import LAYOUTS
+
 __all__ = ["main", "build_parser"]
-
-
-LAYOUT_CHOICES = ["random", "sequential", "reversed", "sawtooth",
-                  "blocked", "gray", "bitrev", "interleaved"]
-
-
-def _make_list(n: int, layout: str, seed: int):
-    from .lists import (
-        bit_reversal_list,
-        blocked_list,
-        gray_code_list,
-        interleaved_list,
-        random_list,
-        reversed_list,
-        sawtooth_list,
-        sequential_list,
-    )
-
-    makers: dict[str, Callable] = {
-        "random": lambda: random_list(n, rng=seed),
-        "sequential": lambda: sequential_list(n),
-        "reversed": lambda: reversed_list(n),
-        "sawtooth": lambda: sawtooth_list(n),
-        "blocked": lambda: blocked_list(n, block=max(1, n // 8), rng=seed),
-        "gray": lambda: gray_code_list(n),
-        "bitrev": lambda: bit_reversal_list(n),
-        "interleaved": lambda: interleaved_list(n, ways=max(1, n // 16)),
-    }
-    return makers[layout]()
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
     import time
 
     from .core.maximal_matching import maximal_matching
-    import repro.baselines  # noqa: F401  (registers baselines)
 
-    lst = _make_list(args.n, args.layout, args.seed)
+    lst = LAYOUTS[args.layout](args.n, args.seed)
     kwargs = {}
     if args.algorithm == "match4":
         kwargs["iterations"] = args.i
@@ -128,28 +101,23 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_algorithms(args: argparse.Namespace) -> int:
-    from .core.maximal_matching import ALGORITHMS
-    import repro.baselines  # noqa: F401  (registers baselines)
-
-    records = ALGORITHMS.describe()
-    if args.list:
-        for rec in records:
-            print(rec["name"])
-        return 0
-    for rec in records:
-        print(rec["name"] + (" (optimal)" if rec["optimal"] else ""))
-        print(f"  backends : {', '.join(rec['backends'])}")
-        if rec["paper_section"]:
-            print(f"  paper    : {rec['paper_section']}")
-        if rec["params"]:
-            print(f"  kwargs   : {', '.join(rec['params'])}")
+    for name, info in sorted(ALGORITHMS.items()):
+        if args.list:
+            print(name)
+            continue
+        backends = [b for b in sorted(DISPATCH) if name in DISPATCH[b]]
+        print(name + (" (optimal)" if info.optimal else ""))
+        print(f"  backends : {', '.join(backends)}")
+        print(f"  paper    : {info.paper_section}")
+        if info.params:
+            print(f"  kwargs   : {', '.join(sorted(info.params))}")
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     from .apps.ranking import list_ranks, sequential_ranks
 
-    lst = _make_list(args.n, args.layout, args.seed)
+    lst = LAYOUTS[args.layout](args.n, args.seed)
     ranks, report = list_ranks(lst, p=args.p, algorithm=args.algorithm)
     ok = np.array_equal(ranks, sequential_ranks(lst))
     print(f"algorithm : {args.algorithm}")
@@ -163,7 +131,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_color(args: argparse.Namespace) -> int:
     from .apps.coloring import three_coloring
 
-    lst = _make_list(args.n, args.layout, args.seed)
+    lst = LAYOUTS[args.layout](args.n, args.seed)
     colors, report = three_coloring(lst, p=args.p)
     hist = np.bincount(colors, minlength=3)
     print(f"n, p      : {args.n}, {args.p}")
@@ -176,16 +144,15 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     from .analysis.experiments import powers_up_to
     from .analysis.report import format_table
     from .core.maximal_matching import maximal_matching
-    import repro.baselines  # noqa: F401
 
-    lst = _make_list(args.n, args.layout, args.seed)
+    lst = LAYOUTS[args.layout](args.n, args.seed)
     rows = []
     kwargs = {"iterations": args.i} if args.algorithm == "match4" else {}
     for p in powers_up_to(args.n, base=args.base):
-        _, report, _ = maximal_matching(
+        report = maximal_matching(
             lst, algorithm=args.algorithm, backend=args.backend,
             p=p, **kwargs
-        )
+        ).report
         rows.append({
             "p": p,
             "time": report.time,
@@ -220,7 +187,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_fold(args: argparse.Namespace) -> int:
     from .apps.fold import list_prefix_fold, list_suffix_fold
 
-    lst = _make_list(args.n, args.layout, args.seed)
+    lst = LAYOUTS[args.layout](args.n, args.seed)
     values = np.arange(args.n, dtype=np.int64)
     fn = list_prefix_fold if args.direction == "prefix" else list_suffix_fold
     out, report, stats = fn(lst, values, op=args.op, p=args.p)
@@ -349,10 +316,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_prometheus,
     )
     from .telemetry.sinks import json_default
-    import repro.baselines  # noqa: F401  (registers baselines)
     import json
 
-    lst = _make_list(args.n, args.layout, args.seed)
+    lst = LAYOUTS[args.layout](args.n, args.seed)
     kwargs = {}
     if args.algorithm == "match4":
         kwargs["iterations"] = args.i
@@ -360,7 +326,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                      and args.algorithm in ("match1", "match4"))
     machine_list = None
     if machine_trace and args.machine_n < args.n:
-        machine_list = _make_list(args.machine_n, args.layout, args.seed)
+        machine_list = LAYOUTS[args.layout](args.machine_n, args.seed)
 
     run = profile_matching(
         lst, algorithm=args.algorithm, backend=args.backend, p=args.p,
@@ -463,7 +429,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     from .pram.algorithms import run_match1, run_match4
     from .resilience import repair_matching, resilient_matching
 
-    lst = _make_list(args.n, args.layout, args.seed)
+    lst = LAYOUTS[args.layout](args.n, args.seed)
     plan = _parse_fault_specs(args)
     runner = run_match4 if args.algorithm == "match4" else run_match1
     kwargs = {"i": args.i} if args.algorithm == "match4" else {}
@@ -633,18 +599,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=256,
                        help="processor count (default 256)")
         p.add_argument("--layout", default="random",
-                       choices=LAYOUT_CHOICES)
+                       choices=list(LAYOUTS))
         p.add_argument("--seed", type=int, default=0)
-
-    from .backends import backend_choices, backend_names
 
     m = sub.add_parser("match", help="run one matching algorithm")
     common(m)
     m.add_argument("--algorithm", default="match4",
-                   choices=["match1", "match2", "match3", "match4",
-                            "sequential", "random_mate"])
+                   choices=list(ALGORITHMS))
     m.add_argument("--backend", default="reference",
-                   choices=backend_choices(),
+                   choices=BACKEND_CHOICES,
                    help="execution backend (default reference; 'auto' "
                         "picks numpy where it implements the algorithm)")
     m.add_argument("--i", type=int, default=2,
@@ -654,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=_cmd_match)
 
     al = sub.add_parser("algorithms",
-                        help="list registered algorithms + metadata")
+                        help="list the algorithms + metadata")
     al.add_argument("--list", action="store_true",
                     help="names only, one per line")
     al.set_defaults(fn=_cmd_algorithms)
@@ -674,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--algorithm", default="match4",
                     choices=["match1", "match2", "match3", "match4"])
     cv.add_argument("--backend", default="reference",
-                    choices=backend_names(),
+                    choices=sorted(DISPATCH),
                     help="execution backend (default reference)")
     cv.add_argument("--i", type=int, default=2)
     cv.add_argument("--base", type=int, default=4,
@@ -748,15 +711,14 @@ def build_parser() -> argparse.ArgumentParser:
              "Prometheus metrics + RunRecord manifest",
     )
     pf.add_argument("algorithm", nargs="?", default="match4",
-                    choices=["match1", "match2", "match3", "match4",
-                             "sequential", "random_mate"])
+                    choices=list(ALGORITHMS))
     pf.add_argument("--n", type=int, default=1 << 12,
                     help="list size (default 4096)")
     pf.add_argument("--p", type=int, default=256)
-    pf.add_argument("--layout", default="random", choices=LAYOUT_CHOICES)
+    pf.add_argument("--layout", default="random", choices=list(LAYOUTS))
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--backend", default="reference",
-                    choices=backend_names())
+                    choices=sorted(DISPATCH))
     pf.add_argument("--i", type=int, default=2,
                     help="Match4's iterations parameter")
     pf.add_argument("--machine-n", type=int, default=96, metavar="N",
@@ -789,14 +751,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rz.add_argument("--n", type=int, default=96,
                     help="list size (default 96; instruction-level)")
-    rz.add_argument("--layout", default="random", choices=LAYOUT_CHOICES)
+    rz.add_argument("--layout", default="random", choices=list(LAYOUTS))
     rz.add_argument("--seed", type=int, default=0)
     rz.add_argument("--algorithm", default="match4",
                     choices=["match1", "match4"])
     rz.add_argument("--i", type=int, default=2,
                     help="Match4's iterations parameter")
     rz.add_argument("--backend", default="reference",
-                    choices=backend_choices(),
+                    choices=BACKEND_CHOICES,
                     help="first-attempt backend for the ladder strategy "
                          "('auto': numpy where it implements the "
                          "algorithm)")
@@ -832,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--algorithm", default="match4",
                     choices=["match1", "match4"],
                     help="default algorithm for requests that name none")
-    sv.add_argument("--backend", default="numpy", choices=backend_choices(),
+    sv.add_argument("--backend", default="numpy", choices=BACKEND_CHOICES,
                     help="default backend for requests that name none "
                          "('auto': numpy where it implements the "
                          "algorithm)")

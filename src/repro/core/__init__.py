@@ -44,11 +44,8 @@ from .walkdown import (
 )
 from .maximal_matching import (
     ALGORITHMS,
-    AlgorithmInfo,
-    AlgorithmRegistry,
     maximal_matching,
     normalize_algorithm_kwargs,
-    register_algorithm,
 )
 from .result import MatchResult
 from .rings import (
@@ -91,10 +88,7 @@ __all__ = [
     "walkdown2_automaton",
     "walkdown2_step_of",
     "ALGORITHMS",
-    "AlgorithmInfo",
-    "AlgorithmRegistry",
     "MatchResult",
     "maximal_matching",
     "normalize_algorithm_kwargs",
-    "register_algorithm",
 ]

@@ -1,212 +1,42 @@
 """Unified entry point for all maximal-matching algorithms.
 
 ``maximal_matching(lst, algorithm="match4", p=8)`` dispatches to the
-paper's algorithms (and the baselines registered by
-:mod:`repro.baselines`) with one calling convention, returning a
-:class:`~repro.core.result.MatchResult` that still unpacks as the
-legacy ``(matching, report, stats)`` tuple.  Raw ``NEXT`` arrays are
-accepted in place of a :class:`repro.lists.LinkedList` and validated.
+paper's algorithms and the baselines (the static table
+:data:`repro.backends.ALGORITHMS`) with one calling convention,
+returning a :class:`~repro.core.result.MatchResult`.  Raw ``NEXT``
+arrays are accepted in place of a :class:`repro.lists.LinkedList` and
+validated.
 
-Three registry concerns live here:
-
-- :data:`ALGORITHMS` — an :class:`AlgorithmRegistry` mapping names to
-  :class:`AlgorithmInfo` records (reference implementation plus
-  metadata: paper section, optimality, kwarg schema);
-- kwarg normalization — every caller-facing kwarg is validated against
-  the algorithm's schema in one place, and unknown names are rejected
-  with the valid ones listed;
-- backend dispatch — ``backend="numpy"`` routes to the whole-array
-  engine (:mod:`repro.backends`) when it implements the algorithm, and
-  ``backend="auto"`` resolves through
-  :func:`repro.backends.resolve_auto`.
+Caller-facing kwargs are validated against the algorithm's schema here,
+with unknown names rejected and the valid ones listed;
+:func:`repro.backends.resolve` checks the (algorithm, backend) pair and
+resolves ``backend="auto"``.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
+from ..backends import (
+    ALGORITHMS,
+    DEFAULT_BACKEND,
+    DISPATCH,
+    REFERENCE_KWARGS,
+    resolve,
+)
 from ..errors import InvalidParameterError
 from ..lists.linked_list import LinkedList
-from ..pram.cost import CostReport
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import enabled as telemetry_enabled, span as telemetry_span
-from .match1 import match1
-from .match2 import match2
-from .match3 import match3
-from .match4 import match4
-from .matching import Matching
 from .result import MatchResult
 
 __all__ = [
     "ALGORITHMS",
-    "AlgorithmInfo",
-    "AlgorithmRegistry",
     "maximal_matching",
     "normalize_algorithm_kwargs",
-    "register_algorithm",
 ]
-
-
-def _signature_params(fn: Callable[..., Any]) -> frozenset[str] | None:
-    """Keyword-only parameter names of ``fn`` (minus ``p``).
-
-    ``None`` means the schema is unknowable (``**kwargs`` or an
-    uninspectable callable) and every kwarg is forwarded unchecked.
-    """
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return None
-    names = set()
-    for param in sig.parameters.values():
-        if param.kind is inspect.Parameter.VAR_KEYWORD:
-            return None
-        if param.kind is inspect.Parameter.KEYWORD_ONLY:
-            names.add(param.name)
-    names.discard("p")
-    return frozenset(names)
-
-
-@dataclass(frozen=True)
-class AlgorithmInfo:
-    """One registered algorithm: reference implementation + metadata.
-
-    Attributes
-    ----------
-    name:
-        Registry key (``algorithm=`` value).
-    fn:
-        The reference implementation, ``(lst, *, p=1, **kw) ->
-        (Matching, CostReport, stats)``.
-    params:
-        Canonical caller-facing kwarg names (``None`` = unchecked).
-    renames:
-        Canonical name -> the reference implementation's own parameter
-        name, for algorithms registered before the kwarg cleanup.
-    paper_section:
-        Where in Han's paper (or which baseline) the algorithm comes
-        from.
-    optimal:
-        Whether the paper claims O(n) work / optimal speedup for it.
-    """
-
-    name: str
-    fn: Callable[..., tuple[Matching, CostReport, Any]]
-    params: frozenset[str] | None = None
-    renames: Mapping[str, str] = field(default_factory=dict)
-    paper_section: str = ""
-    optimal: bool = False
-
-    @property
-    def backends(self) -> list[str]:
-        """Names of the backends that implement this algorithm."""
-        from ..backends import backends_for
-
-        return backends_for(self.name)
-
-    def __call__(self, lst, **kwargs):
-        """Call the reference implementation (legacy registry use)."""
-        return self.fn(lst, **kwargs)
-
-
-class AlgorithmRegistry(Mapping[str, AlgorithmInfo]):
-    """Name -> :class:`AlgorithmInfo`, with a ``describe()`` helper.
-
-    Iteration, ``in``, and ``[...]`` behave like the plain dict this
-    registry replaced; values are now :class:`AlgorithmInfo` records
-    (themselves callable, delegating to the reference implementation).
-    """
-
-    def __init__(self) -> None:
-        self._infos: dict[str, AlgorithmInfo] = {}
-
-    def __getitem__(self, name: str) -> AlgorithmInfo:
-        return self._infos[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._infos)
-
-    def __len__(self) -> int:
-        return len(self._infos)
-
-    def describe(self) -> list[dict[str, Any]]:
-        """One metadata record per algorithm, sorted by name.
-
-        Keys: ``name``, ``backends``, ``paper_section``, ``optimal``,
-        ``params`` — the CLI renders this for ``repro algorithms``.
-        """
-        return [
-            {
-                "name": name,
-                "backends": info.backends,
-                "paper_section": info.paper_section,
-                "optimal": info.optimal,
-                "params": (sorted(info.params)
-                           if info.params is not None else None),
-            }
-            for name, info in sorted(self._infos.items())
-        ]
-
-
-#: Registry of maximal-matching algorithms.
-ALGORITHMS = AlgorithmRegistry()
-
-
-def register_algorithm(
-    name: str,
-    fn: Callable[..., tuple[Matching, CostReport, Any]],
-    *,
-    renames: Mapping[str, str] | None = None,
-    paper_section: str = "",
-    optimal: bool = False,
-) -> None:
-    """Register an algorithm (used by the baselines package).
-
-    Re-registration of an existing name is rejected to keep experiment
-    configurations unambiguous.  The caller-facing kwarg schema is read
-    off ``fn``'s signature (keyword-only parameters), with ``renames``
-    mapping canonical names onto ``fn``'s own parameter names.
-    """
-    if name in ALGORITHMS:
-        raise InvalidParameterError(f"algorithm {name!r} already registered")
-    renames = dict(renames or {})
-    params = _signature_params(fn)
-    if params is not None:
-        inverse = {impl: canon for canon, impl in renames.items()}
-        params = frozenset(inverse.get(p, p) for p in params)
-    ALGORITHMS._infos[name] = AlgorithmInfo(
-        name=name,
-        fn=fn,
-        params=params,
-        renames=renames,
-        paper_section=paper_section,
-        optimal=optimal,
-    )
-
-
-register_algorithm(
-    "match1", match1,
-    paper_section="§2, Algorithm Match1 (O(log n) time, O(n log n) work)",
-)
-register_algorithm(
-    "match2", match2,
-    paper_section="§3, Algorithm Match2 (first optimization)",
-)
-register_algorithm(
-    "match3", match3,
-    paper_section="§4, Algorithm Match3 (precomputed matching tables)",
-    optimal=True,
-)
-register_algorithm(
-    "match4", match4,
-    renames={"iterations": "i"},
-    paper_section="§5, Algorithm Match4 (optimal: O(log n) time, O(n) work)",
-    optimal=True,
-)
 
 
 def normalize_algorithm_kwargs(
@@ -217,14 +47,13 @@ def normalize_algorithm_kwargs(
     Unknown names raise :class:`InvalidParameterError` listing the
     valid ones.  Returns the kwargs as a fresh dict.
     """
-    info = ALGORITHMS[algorithm]
-    if info.params is not None:
-        for key in kwargs:
-            if key not in info.params:
-                raise InvalidParameterError(
-                    f"unknown kwarg {key!r} for algorithm {algorithm!r}; "
-                    f"valid kwargs: {sorted(info.params)}"
-                )
+    params = ALGORITHMS[algorithm].params
+    for key in kwargs:
+        if key not in params:
+            raise InvalidParameterError(
+                f"unknown kwarg {key!r} for algorithm {algorithm!r}; "
+                f"valid kwargs: {sorted(params)}"
+            )
     return dict(kwargs)
 
 
@@ -245,13 +74,14 @@ def maximal_matching(
         copied).
     algorithm:
         One of :data:`ALGORITHMS` (paper algorithms ``match1`` ...
-        ``match4`` plus registered baselines).  Default ``"match4"``.
+        ``match4`` plus the baselines).  Default ``"match4"``.
     backend:
         Execution backend (see :mod:`repro.backends`): ``"reference"``
         for the paper-faithful per-pointer implementations, ``"numpy"``
         for the vectorized whole-array engine — or ``"auto"`` for
-        :func:`repro.backends.resolve_auto`'s static pick.  Results are bit-identical across backends; only host
-        wall-clock differs.  Default ``"reference"``.
+        :func:`repro.backends.resolve_auto`'s static pick.  Results are
+        bit-identical across backends; only host wall-clock differs.
+        Default ``"reference"``.
     p:
         Processor count for the cost accounting.
     kwargs:
@@ -263,38 +93,16 @@ def maximal_matching(
     MatchResult:
         Typed record with fields ``matching``, ``report``, ``stats``,
         ``backend`` (the concrete backend that ran), ``algorithm``,
-        ``extras``; unpacks as the legacy ``(matching, report, stats)``
-        tuple.
+        ``extras``.
     """
-    from ..backends import AUTO, DEFAULT_BACKEND, get_backend, resolve_auto
-
     if not isinstance(lst, LinkedList):
         lst = LinkedList(lst)
-    try:
-        info = ALGORITHMS[algorithm]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown algorithm {algorithm!r}; choose from "
-            f"{sorted(ALGORITHMS)}"
-        ) from None
-    kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
-
     requested_backend = backend or DEFAULT_BACKEND
-    resolved_backend = requested_backend
-    if requested_backend == AUTO:
-        resolved_backend = resolve_auto(algorithm, lst.n)
-
-    backend_obj = get_backend(resolved_backend)
-    fn = backend_obj.algorithms.get(algorithm)
-    if fn is None:
-        raise InvalidParameterError(
-            f"algorithm {algorithm!r} is not implemented on backend "
-            f"{resolved_backend!r} (available there: "
-            f"{sorted(backend_obj.algorithms)}); backends implementing "
-            f"it: {info.backends}"
-        )
-    if not backend_obj.canonical_kwargs:
-        kwargs = {info.renames.get(k, k): v for k, v in kwargs.items()}
+    resolved_backend = resolve(algorithm, requested_backend, lst.n)
+    kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
+    if resolved_backend == "reference":
+        kwargs = {REFERENCE_KWARGS.get(k, k): v for k, v in kwargs.items()}
+    fn = DISPATCH[resolved_backend][algorithm]
     span_attrs: dict[str, Any] = {}
     if requested_backend != resolved_backend:
         span_attrs["requested_backend"] = requested_backend

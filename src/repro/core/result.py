@@ -1,16 +1,15 @@
 """Typed result of a maximal-matching run.
 
-:func:`repro.maximal_matching` historically returned a bare
-``(matching, report, stats)`` tuple; :class:`MatchResult` names those
-fields and records *how* the run was produced (algorithm, backend)
-while still unpacking as the legacy 3-tuple, so existing call sites —
-``m, rep, stats = maximal_matching(...)`` — keep working unchanged.
+:class:`MatchResult` names what :func:`repro.maximal_matching` produced
+(``.matching``, ``.report``, ``.stats``) and records *how* the run was
+produced (algorithm, backend).  It is a record, not a sequence: it does
+not unpack as a tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from ..pram.cost import CostReport
 from .matching import Matching
@@ -48,14 +47,3 @@ class MatchResult:
     backend: str = "reference"
     algorithm: str = ""
     extras: Mapping[str, Any] = field(default_factory=dict)
-
-    # Legacy 3-tuple protocol: ``m, rep, stats = maximal_matching(...)``
-    # and ``result[0]`` keep working.
-    def __iter__(self) -> Iterator[Any]:
-        return iter((self.matching, self.report, self.stats))
-
-    def __len__(self) -> int:
-        return 3
-
-    def __getitem__(self, index: int) -> Any:
-        return (self.matching, self.report, self.stats)[index]

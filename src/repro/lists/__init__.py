@@ -14,7 +14,9 @@ parameter all experiments sweep.
 - :mod:`repro.lists.generators` — workload generators: random
   permutation lists (the paper's implicit adversary), sequential and
   reversed layouts (all-forward / all-backward pointers), sawtooth and
-  blocked layouts (stress the inter-/intra-row split of Match4).
+  blocked layouts (stress the inter-/intra-row split of Match4), and
+  :data:`~repro.lists.generators.LAYOUTS`, the named-layout table the
+  CLI and the service share.
 - :mod:`repro.lists.validation` — structural validation used at every
   public entry point.
 """
@@ -22,6 +24,7 @@ parameter all experiments sweep.
 from .linked_list import NIL, LinkedList
 from .ring import Ring, random_ring, sequential_ring
 from .generators import (
+    LAYOUTS,
     bit_reversal_list,
     blocked_list,
     gray_code_list,
@@ -35,6 +38,7 @@ from .generators import (
 from .validation import validate_next_array
 
 __all__ = [
+    "LAYOUTS",
     "NIL",
     "LinkedList",
     "Ring",

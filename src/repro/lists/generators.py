@@ -22,12 +22,15 @@ list order visits, so workloads are layouts:
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .._util import require
 from .linked_list import LinkedList
 
 __all__ = [
+    "LAYOUTS",
     "list_from_order",
     "bit_reversal_list",
     "gray_code_list",
@@ -160,3 +163,18 @@ def interleaved_list(n: int, ways: int) -> LinkedList:
             if j < c.size:
                 order.append(int(c[j]))
     return LinkedList.from_order(np.asarray(order, dtype=np.int64))
+
+
+#: Layout name -> ``maker(n, seed)``: the named layouts the CLI's
+#: ``--layout`` and the service's ``{"layout": ...}`` specs accept.
+LAYOUTS: dict[str, Callable[[int, int], LinkedList]] = {
+    "random": lambda n, seed: random_list(n, rng=seed),
+    "sequential": lambda n, seed: sequential_list(n),
+    "reversed": lambda n, seed: reversed_list(n),
+    "sawtooth": lambda n, seed: sawtooth_list(n),
+    "blocked": lambda n, seed: blocked_list(n, block=max(1, n // 8),
+                                            rng=seed),
+    "gray": lambda n, seed: gray_code_list(n),
+    "bitrev": lambda n, seed: bit_reversal_list(n),
+    "interleaved": lambda n, seed: interleaved_list(n, ways=max(1, n // 16)),
+}

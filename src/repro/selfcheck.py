@@ -93,7 +93,7 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
         sizes = []
         for alg in ("match1", "match2", "match3", "match4",
                     "sequential", "random_mate"):
-            m, _, _ = repro.maximal_matching(lst, algorithm=alg)
+            m = repro.maximal_matching(lst, algorithm=alg).matching
             verify_maximal_matching(lst, m.tails)
             sizes.append(m.size)
         return f"sizes {sizes}"
@@ -121,7 +121,7 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
                  for m in (1, 2, 33, n // 4)]
         batch = repro.batch_maximal_matching(lists, algorithm="match4")
         for sub, bm in zip(lists, batch.matchings):
-            m, _, _ = repro.maximal_matching(sub, algorithm="match4")
+            m = repro.maximal_matching(sub, algorithm="match4").matching
             assert np.array_equal(bm.tails, m.tails), "batch diverged"
         return "numpy == reference (tails + cost), batch consistent"
 

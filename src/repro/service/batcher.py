@@ -73,6 +73,10 @@ from .workload import Workload
 
 __all__ = ["Entry", "PendingRequest", "AdmissionQueue", "MicroBatcher"]
 
+#: Compute threads the batcher dispatches into: one serializes batches,
+#: so results and cost accounting come out in a deterministic order.
+COMPUTE_THREADS = 1
+
 #: Shed reasons (429) an :meth:`AdmissionQueue.try_admit` can return.
 SHED_QUEUE_FULL = "queue_full"
 SHED_BYTES = "inflight_bytes"
@@ -270,7 +274,7 @@ class MicroBatcher:
             from concurrent.futures import ThreadPoolExecutor
 
             self._executor = ThreadPoolExecutor(
-                max_workers=self.config.compute_threads,
+                max_workers=COMPUTE_THREADS,
                 thread_name_prefix="repro-service-compute",
             )
         return self._executor

@@ -65,9 +65,6 @@ class ServiceConfig:
     manifest_path:
         Where the final RunRecord manifest is appended on drain
         (empty string: no manifest).
-    compute_threads:
-        Size of the thread pool the batcher dispatches compute into
-        (1 serializes batches, the deterministic default).
     slo_p95_ms / slo_availability:
         The service-level objective the live aggregator judges
         requests against: answered 200 within ``slo_p95_ms`` is good;
@@ -76,9 +73,6 @@ class ServiceConfig:
     live_window_s:
         Width of the rolling window behind ``/debug/vars`` and the
         SSE ``/debug/stream`` (per-second buckets).
-    stream_interval_s:
-        Default frame interval for ``/debug/stream`` (clients may
-        override per request with ``?interval=``).
     """
 
     host: str = "127.0.0.1"
@@ -97,19 +91,16 @@ class ServiceConfig:
     cache_size: int = 128
     drain_deadline_s: float = 5.0
     manifest_path: str = ""
-    compute_threads: int = 1
     slo_p95_ms: float = 500.0
     slo_availability: float = 0.999
     live_window_s: float = 60.0
-    stream_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         positive = (
             "max_queue_depth", "max_inflight_bytes", "max_batch_items",
             "max_batch_delay_ms", "default_deadline_ms", "max_deadline_ms",
             "max_request_bytes", "retry_after_s", "drain_deadline_s",
-            "compute_threads", "slo_p95_ms", "live_window_s",
-            "stream_interval_s",
+            "slo_p95_ms", "live_window_s",
         )
         for name in positive:
             value = getattr(self, name)

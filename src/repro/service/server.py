@@ -65,6 +65,10 @@ from .workload import WorkloadError, parse_workload
 
 __all__ = ["MatchingService", "HttpError"]
 
+#: Default ``/debug/stream`` frame period in seconds; a client picks
+#: its own with ``?interval=``.
+STREAM_INTERVAL_S = 1.0
+
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
@@ -162,10 +166,6 @@ class MatchingService:
         batch_fn: Callable[..., Any] | None = None,
         fallback_fn: Callable[..., Any] | None = None,
     ) -> None:
-        # Baselines register the "sequential" algorithm — the ladder's
-        # floor — as an import side effect.
-        import repro.baselines  # noqa: F401
-
         self.config = config or ServiceConfig()
         self.admission = AdmissionQueue(self.config)
         self.cache = ResponseCache(self.config.cache_size)
@@ -486,7 +486,7 @@ class MatchingService:
         params = urllib.parse.parse_qs(target.partition("?")[2])
         try:
             interval = float(params.get(
-                "interval", [self.config.stream_interval_s])[0])
+                "interval", [STREAM_INTERVAL_S])[0])
             frames = int(params.get("frames", ["0"])[0])
         except (TypeError, ValueError):
             writer.write(_encode_response(

@@ -3,7 +3,8 @@
 A client describes each list either *explicitly* (``{"next": [...]}``,
 the successor array :class:`~repro.lists.linked_list.LinkedList`
 takes) or as a *spec* (``{"n": 4096, "layout": "random", "seed": 7}``)
-the server generates with the same layout makers the CLI uses.  Both
+the server generates with the CLI's layout table
+(:data:`repro.lists.LAYOUTS`).  Both
 forms normalize into a :class:`Workload` carrying the built list and a
 **canonical identity**: the very key
 :meth:`repro.telemetry.runrecord.RunRecord.key` defines, so the
@@ -20,44 +21,21 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
-from ..core.maximal_matching import ALGORITHMS
+from ..backends import ALGORITHMS, DISPATCH, resolve
 from ..errors import InvalidListError, InvalidParameterError, ReproError
-from ..lists import (
-    bit_reversal_list,
-    blocked_list,
-    gray_code_list,
-    interleaved_list,
-    random_list,
-    reversed_list,
-    sawtooth_list,
-    sequential_list,
-)
+from ..lists import LAYOUTS
 from ..lists.linked_list import LinkedList
 from ..telemetry.runrecord import RunRecord
 
-__all__ = ["WorkloadError", "Workload", "parse_workload", "LAYOUTS"]
+__all__ = ["WorkloadError", "Workload", "parse_workload"]
 
 #: Hard bound on a single list's size; a spec beyond it is a client
 #: error (explicit lists are already bounded by the HTTP body limit).
 MAX_SPEC_N = 1 << 22
-
-#: Server-side layout makers, mirroring the CLI's ``--layout`` choices.
-LAYOUTS: dict[str, Callable[[int, int], LinkedList]] = {
-    "random": lambda n, seed: random_list(n, rng=seed),
-    "sequential": lambda n, seed: sequential_list(n),
-    "reversed": lambda n, seed: reversed_list(n),
-    "sawtooth": lambda n, seed: sawtooth_list(n),
-    "blocked": lambda n, seed: blocked_list(n, block=max(1, n // 8),
-                                            rng=seed),
-    "gray": lambda n, seed: gray_code_list(n),
-    "bitrev": lambda n, seed: bit_reversal_list(n),
-    "interleaved": lambda n, seed: interleaved_list(n, ways=max(1, n // 16)),
-}
-
 
 class WorkloadError(ReproError, ValueError):
     """A request described an invalid workload (HTTP 400)."""
@@ -69,7 +47,7 @@ class Workload:
 
     ``backend`` is always a *concrete* backend name: a request asking
     for ``"auto"`` is resolved through
-    :func:`repro.backends.resolve_auto` during parsing — before
+    :func:`repro.backends.resolve` during parsing — before
     admission, and in particular before the micro-batcher's
     per-(algorithm, backend) fusion groups entries.  Cache/record
     identity uses the resolved backend, so an ``"auto"`` request and
@@ -166,18 +144,8 @@ def parse_workload(
         )
     algorithm = body.get("algorithm", default_algorithm)
     backend = body.get("backend", default_backend)
-    if algorithm not in ALGORITHMS:
-        raise WorkloadError(
-            f"unknown algorithm {algorithm!r}; choose from "
-            f"{sorted(ALGORITHMS)}"
-        )
-    from ..backends import AUTO, backend_choices, resolve_auto
-
-    if backend not in backend_choices():
-        raise WorkloadError(
-            f"unknown backend {backend!r}; choose from "
-            f"{backend_choices()}"
-        )
+    if not (isinstance(algorithm, str) and isinstance(backend, str)):
+        raise WorkloadError("'algorithm' and 'backend' must be strings")
     if "next" in body:
         lst, identity = _parse_explicit(body["next"])
     elif "n" in body:
@@ -187,7 +155,12 @@ def parse_workload(
             "workload needs either 'next' (explicit successor array) or "
             "'n' (+ optional 'layout'/'seed' spec)"
         )
-    if backend == AUTO:
-        backend = resolve_auto(algorithm, lst.n)
+    # A named pair passes as is (the batcher degrades one the backend
+    # does not implement); "auto" and unknown names go through resolve.
+    if algorithm not in ALGORITHMS or backend not in DISPATCH:
+        try:
+            backend = resolve(algorithm, backend, lst.n)
+        except InvalidParameterError as exc:
+            raise WorkloadError(str(exc)) from None
     return Workload(lst=lst, algorithm=algorithm, backend=backend,
                     identity=identity)

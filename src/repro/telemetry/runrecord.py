@@ -175,12 +175,22 @@ class RunRecord:
 
         Measurement payloads riding in ``extra`` (the ``resources``
         account) are excluded — they differ run to run and would break
-        pairing of otherwise identical workloads.
+        pairing of otherwise identical workloads.  Container values are
+        keyed by their ``json.dumps(sort_keys=True)`` form, as
+        ``benchmarks/compare.py`` keys them, so dict insertion order
+        never splits one workload in two.
         """
         return (self.kind, self.algorithm, self.backend, self.n, self.p,
                 self.seed, tuple(sorted(
-                    (k, str(v)) for k, v in self.extra.items()
+                    (k, _canon(v)) for k, v in self.extra.items()
                     if k != "resources")))
+
+
+def _canon(value: Any) -> str:
+    """Canonical string for one ``extra`` value in :meth:`RunRecord.key`."""
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, sort_keys=True, default=str)
+    return str(value)
 
 
 def rotate_if_over(path, incoming_bytes: int, max_bytes: int) -> bool:

@@ -1,59 +1,37 @@
-"""The backend registry: lookup, metadata, and dispatch errors."""
+"""The static dispatch table: which pairs exist, and the dispatch errors."""
 
 import pytest
 
 import repro
-from repro.backends import (
-    BACKENDS,
-    Backend,
-    backend_names,
-    backends_for,
-    get_backend,
-    register_backend,
-)
+from repro.backends import ALGORITHMS, DISPATCH, ENGINE_LIMIT, engine, resolve
 from repro.errors import InvalidParameterError
+
+
+def _backends_for(algorithm):
+    return sorted(b for b in DISPATCH if algorithm in DISPATCH[b])
 
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert "reference" in BACKENDS
-        assert "numpy" in BACKENDS
-        assert backend_names() == sorted(BACKENDS)
-
-    def test_get_backend(self):
-        assert get_backend("numpy").name == "numpy"
-        assert get_backend("reference").name == "reference"
+        assert sorted(DISPATCH) == ["numpy", "reference"]
+        assert set(DISPATCH["reference"]) == set(ALGORITHMS)
+        assert set(DISPATCH["numpy"]) == set(engine._DRIVERS)
 
     def test_unknown_backend_lists_choices(self):
-        with pytest.raises(InvalidParameterError, match="reference"):
-            get_backend("bogus")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(InvalidParameterError, match="already registered"):
-            register_backend(Backend(
-                name="numpy", description="dup", algorithms={},
-            ))
-
-    def test_reference_sees_late_registrations(self):
-        # baselines register after import; the reference backend's
-        # algorithm view must be live, not a snapshot
-        import repro.baselines  # noqa: F401
-
-        ref = get_backend("reference")
-        assert ref.supports("sequential")
-        assert ref.supports("match3")
-        assert not get_backend("numpy").supports("match3")
+        with pytest.raises(InvalidParameterError, match="reference") as exc:
+            resolve("match4", "bogus", 8)
+        assert "auto" in str(exc.value)
 
     def test_backends_for(self):
-        assert backends_for("match1") == ["numpy", "reference"]
-        assert backends_for("match2") == ["reference"]
-        assert backends_for("no_such_algorithm") == []
+        assert _backends_for("match1") == ["numpy", "reference"]
+        assert _backends_for("match2") == ["reference"]
+        assert _backends_for("sequential") == ["reference"]
+        assert _backends_for("no_such_algorithm") == []
 
     def test_numpy_limit(self):
-        from repro.backends.engine import ENGINE_LIMIT
-
-        assert get_backend("numpy").limit == ENGINE_LIMIT
-        assert get_backend("reference").limit is None
+        engine._require_supported(ENGINE_LIMIT - 1)
+        with pytest.raises(InvalidParameterError, match="reference"):
+            engine._require_supported(ENGINE_LIMIT)
 
 
 class TestDispatch:
@@ -71,13 +49,32 @@ class TestDispatch:
 
     def test_algorithm_info_exposes_backends(self):
         info = repro.ALGORITHMS["match4"]
-        assert info.backends == ["numpy", "reference"]
+        assert _backends_for(info.name) == ["numpy", "reference"]
         assert info.optimal
-        assert "iterations" in info.params
+        assert "iterations" in info.params and "i" not in info.params
 
     def test_describe_records(self):
-        recs = {r["name"]: r for r in repro.ALGORITHMS.describe()}
-        assert recs["match4"]["backends"] == ["numpy", "reference"]
-        assert recs["match4"]["optimal"]
-        assert "iterations" in recs["match4"]["params"]
-        assert recs["match1"]["paper_section"].startswith("§2")
+        assert list(ALGORITHMS) == ["match1", "match2", "match3", "match4",
+                                    "sequential", "random_mate"]
+        assert ALGORITHMS["match1"].paper_section.startswith("§2")
+        assert ALGORITHMS["match1"].params == {"kind", "rounds"}
+        assert ALGORITHMS["sequential"].params == frozenset()
+
+    @pytest.mark.parametrize("call", [
+        lambda: repro.maximal_matching([1, -1], algorithm="nope"),
+        lambda: repro.batch_maximal_matching([[1, -1]], algorithm="nope"),
+        lambda: repro.resilient_matching(repro.random_list(8, rng=0),
+                                         ladder=("nope",), backend="auto"),
+        lambda: repro.contraction_ranks(repro.random_list(8, rng=0),
+                                        matcher="nope"),
+    ])
+    def test_unknown_algorithm_same_error_everywhere(self, call):
+        with pytest.raises(InvalidParameterError,
+                           match="unknown algorithm 'nope'; choose from"):
+            call()
+
+    def test_unsupported_pair_same_error_in_batch(self):
+        with pytest.raises(InvalidParameterError) as exc:
+            repro.batch_maximal_matching([[1, -1]], algorithm="match3",
+                                         backend="numpy")
+        assert "backends implementing it: ['reference']" in str(exc.value)

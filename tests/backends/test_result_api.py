@@ -5,11 +5,7 @@ import warnings
 import pytest
 
 import repro
-from repro.core.maximal_matching import (
-    ALGORITHMS,
-    normalize_algorithm_kwargs,
-    register_algorithm,
-)
+from repro.core.maximal_matching import normalize_algorithm_kwargs
 from repro.core.result import MatchResult
 from repro.errors import InvalidParameterError
 
@@ -28,17 +24,16 @@ class TestMatchResult:
         assert result.matching.is_maximal
         assert result.report.time > 0
 
-    def test_unpacks_as_legacy_triple(self, result):
-        matching, report, stats = result
-        assert matching is result.matching
-        assert report is result.report
-        assert stats is result.stats
+    def test_unpacking_raises_type_error(self, result):
+        with pytest.raises(TypeError):
+            matching, report, stats = result
 
     def test_sequence_protocol(self, result):
-        assert len(result) == 3
-        assert result[0] is result.matching
-        assert result[1] is result.report
-        assert result[2] is result.stats
+        # A record, not a sequence: the fields are the only access path.
+        with pytest.raises(TypeError):
+            len(result)
+        with pytest.raises(TypeError):
+            result[0]
 
     def test_frozen(self, result):
         with pytest.raises(AttributeError):
@@ -77,29 +72,3 @@ class TestKwargNormalization:
         with pytest.raises(InvalidParameterError, match="unknown algorithm"):
             repro.maximal_matching(lst, algorithm="match5")
 
-
-class TestRegistration:
-    def test_duplicate_rejected(self):
-        with pytest.raises(InvalidParameterError, match="already registered"):
-            register_algorithm("match4", repro.match4)
-
-    def test_custom_algorithm_roundtrip(self):
-        def trivial(lst, *, p=1, flavor="plain"):
-            return repro.match1(lst, p=p)
-
-        register_algorithm(
-            "trivial_test", trivial,
-            paper_section="tests only", optimal=False,
-        )
-        try:
-            info = ALGORITHMS["trivial_test"]
-            assert info.params == frozenset({"flavor"})
-            assert info.backends == ["reference"]
-            lst = repro.random_list(64, rng=4)
-            res = repro.maximal_matching(
-                lst, algorithm="trivial_test", flavor="x")
-            assert res.matching.is_maximal
-            with pytest.raises(InvalidParameterError):
-                repro.maximal_matching(lst, algorithm="trivial_test", bad=1)
-        finally:
-            del ALGORITHMS._infos["trivial_test"]

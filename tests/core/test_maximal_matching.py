@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-import repro.baselines  # noqa: F401  (registers baseline algorithms)
-from repro.core.maximal_matching import (
-    ALGORITHMS,
-    maximal_matching,
-    register_algorithm,
-)
+from repro.core.maximal_matching import maximal_matching
 from repro.core.matching import verify_maximal_matching
 from repro.errors import InvalidListError, InvalidParameterError
 from repro.lists import NIL, random_list
@@ -21,12 +16,13 @@ class TestDispatch:
     )
     def test_every_algorithm(self, alg):
         lst = random_list(1000, rng=1)
-        matching, report, _ = maximal_matching(lst, algorithm=alg, p=8)
+        res = maximal_matching(lst, algorithm=alg, p=8)
+        matching, report = res.matching, res.report
         verify_maximal_matching(lst, matching.tails)
         assert report.p == 8
 
     def test_raw_next_array_accepted(self):
-        matching, _, _ = maximal_matching([1, 2, NIL], algorithm="match4")
+        matching = maximal_matching([1, 2, NIL], algorithm="match4").matching
         assert matching.size == 1
 
     def test_raw_array_validated(self):
@@ -39,12 +35,8 @@ class TestDispatch:
 
     def test_kwargs_forwarded(self):
         lst = random_list(512, rng=2)
-        _, _, stats = maximal_matching(lst, algorithm="match4", iterations=3)
+        stats = maximal_matching(lst, algorithm="match4", iterations=3).stats
         assert stats.i == 3
-
-    def test_registry_rejects_duplicates(self):
-        with pytest.raises(InvalidParameterError, match="already"):
-            register_algorithm("match1", ALGORITHMS["match1"])
 
 
 class TestCrossAlgorithmAgreement:
@@ -55,7 +47,7 @@ class TestCrossAlgorithmAgreement:
         lst = random_list(n, rng=n)
         sizes = {}
         for alg in ("match1", "match2", "match3", "match4", "sequential"):
-            m, _, _ = maximal_matching(lst, algorithm=alg)
+            m = maximal_matching(lst, algorithm=alg).matching
             verify_maximal_matching(lst, m.tails)
             sizes[alg] = m.size
         ptrs = n - 1
@@ -65,6 +57,6 @@ class TestCrossAlgorithmAgreement:
     def test_deterministic(self):
         lst = random_list(400, rng=9)
         for alg in ("match1", "match2", "match3", "match4"):
-            a, _, _ = maximal_matching(lst, algorithm=alg)
-            b, _, _ = maximal_matching(lst, algorithm=alg)
+            a = maximal_matching(lst, algorithm=alg).matching
+            b = maximal_matching(lst, algorithm=alg).matching
             assert np.array_equal(a.tails, b.tails), alg

@@ -252,9 +252,7 @@ class TestSnapshots:
         assert res.algorithm == "maintained"
         assert res.report.phases[0].name == "maintain"
         assert res.extras["ledger"]["edits"] == 1
-        # MatchResult still unpacks as the legacy 3-tuple.
-        matching, report, _ = res
-        assert matching.size == matching.tails.size
+        assert res.matching.size == res.matching.tails.size
         assert len(res.extras["nodes"]) == 17
 
 

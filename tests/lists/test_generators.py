@@ -165,5 +165,5 @@ class TestStructuredLayouts:
         maker = getattr(repro, maker_name)
         lst = maker(256)
         for alg in ("match1", "match2", "match4"):
-            m, _, _ = repro.maximal_matching(lst, algorithm=alg)
+            m = repro.maximal_matching(lst, algorithm=alg).matching
             verify_maximal_matching(lst, m.tails)

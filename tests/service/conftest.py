@@ -45,7 +45,7 @@ async def match(service, body, **kwargs):
 def reference_tails(spec):
     """The reference-tier answer for a spec-form workload — the bit
     that every served response must be identical to."""
-    from repro.service.workload import LAYOUTS
+    from repro.lists import LAYOUTS
 
     lst = LAYOUTS[spec.get("layout", "random")](spec["n"],
                                                 spec.get("seed", 0))

@@ -32,7 +32,7 @@ class TestConfig:
         {"max_batch_delay_ms": -1.0},
         {"default_deadline_ms": 0.0},
         {"cache_size": -1},
-        {"compute_threads": 0},
+        {"slo_p95_ms": 0.0},
         {"workers": True},
         {"workers": 1.5},
     ])
@@ -75,6 +75,7 @@ class TestWorkload:
         ({"next": []}, "non-empty"),
         ({"next": [0, 0, 1]}, "invalid linked list"),
         ("not a dict", "JSON object"),
+        ({"n": 64, "algorithm": ["match4"]}, "must be strings"),
     ])
     def test_malformed_rejected(self, body, msg):
         with pytest.raises(WorkloadError):

@@ -136,6 +136,24 @@ class TestDiffRecords:
         kinds = {f["kind"] for f in diff_records(base, cur)}
         assert kinds == {"missing", "new"}
 
+    def test_dict_extra_pairs_across_key_order(self):
+        # compare.py keys container extras by json.dumps(sort_keys=True);
+        # the report must agree, or one workload shows as missing + new.
+        import importlib.util
+        from pathlib import Path
+
+        base = [rec(cfg={"x": 1, "y": 2})]
+        cur = [rec(cfg={"y": 2, "x": 1})]
+        assert base[0].key() == cur[0].key()
+        assert diff_records(base, cur) == []
+
+        path = Path(__file__).parents[2] / "benchmarks" / "compare.py"
+        spec = importlib.util.spec_from_file_location("_compare_keys", path)
+        compare = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare)
+        keys = {compare._record_key(r.to_dict()) for r in base + cur}
+        assert len(keys) == 1
+
 
 class TestMemoryPanel:
     """The Memory & data movement section from extra["resources"]."""

@@ -49,7 +49,8 @@ def lst():
 
 @pytest.mark.parametrize("alg,p", sorted(SNAPSHOT))
 def test_matching_cost_snapshot(lst, alg, p):
-    matching, report, _ = repro.maximal_matching(lst, algorithm=alg, p=p)
+    res = repro.maximal_matching(lst, algorithm=alg, p=p)
+    matching, report = res.matching, res.report
     expected = SNAPSHOT[(alg, p)]
     assert (report.time, report.work, matching.size) == expected, (
         f"{alg} at p={p}: measured "
@@ -80,7 +81,7 @@ def test_matchings_themselves_snapshotted(lst):
 
     digests = {}
     for alg in ("match1", "match2", "match3", "match4"):
-        m, _, _ = repro.maximal_matching(lst, algorithm=alg)
+        m = repro.maximal_matching(lst, algorithm=alg).matching
         digests[alg] = hashlib.sha256(m.tails.tobytes()).hexdigest()[:16]
     assert digests == {
         "match1": digests["match1"],  # self-consistent by construction
@@ -90,7 +91,7 @@ def test_matchings_themselves_snapshotted(lst):
     }
     # cross-run determinism
     for alg in digests:
-        m2, _, _ = repro.maximal_matching(lst, algorithm=alg)
+        m2 = repro.maximal_matching(lst, algorithm=alg).matching
         import hashlib as h
 
         assert h.sha256(m2.tails.tobytes()).hexdigest()[:16] == digests[alg]

@@ -16,8 +16,7 @@ class TestPublicAPI:
         result = repro.maximal_matching(
             lst, algorithm="match4", backend="numpy", p=64, iterations=2
         )
-        matching, report, stats = result  # legacy unpack still works
-        assert matching is result.matching
+        matching, report = result.matching, result.report
         assert matching.is_maximal
         assert report.cost >= report.time
 

@@ -42,7 +42,7 @@ class TestRelabelingInvariance:
         pi = np.asarray(rnd.sample(range(n), n), dtype=np.int64)
         relabeled = relabel(lst, pi)
         for alg in ("match1", "match4"):
-            m, _, _ = repro.maximal_matching(relabeled, algorithm=alg)
+            m = repro.maximal_matching(relabeled, algorithm=alg).matching
             verify_maximal_matching(relabeled, m.tails)
 
     def test_identity_relabeling_is_identity(self):
@@ -81,7 +81,7 @@ class TestCostModelLaws:
         lst = random_list(2048, rng=11)
         times = []
         for p in (1, 4, 16, 64, 256, 1024):
-            _, report, _ = repro.maximal_matching(lst, algorithm=alg, p=p)
+            report = repro.maximal_matching(lst, algorithm=alg, p=p).report
             times.append(report.time)
         assert times == sorted(times, reverse=True)
 
@@ -91,7 +91,7 @@ class TestCostModelLaws:
         lst = random_list(2048, rng=12)
         prev = None
         for p in (1, 2, 4, 8, 16):
-            _, report, _ = repro.maximal_matching(lst, algorithm=alg, p=p)
+            report = repro.maximal_matching(lst, algorithm=alg, p=p).report
             if prev is not None:
                 assert report.time <= prev
                 assert prev <= 2 * report.time
@@ -102,7 +102,7 @@ class TestCostModelLaws:
         lst = random_list(1024, rng=13)
         works = set()
         for p in (1, 7, 64, 1024):
-            _, report, _ = repro.maximal_matching(lst, algorithm=alg, p=p)
+            report = repro.maximal_matching(lst, algorithm=alg, p=p).report
             works.add(report.work)
         assert len(works) == 1
 
@@ -142,7 +142,7 @@ class TestKindDuality:
     def test_both_kinds_valid(self, alg):
         lst = random_list(700, rng=15)
         for kind in ("msb", "lsb"):
-            m, _, _ = repro.maximal_matching(lst, algorithm=alg, kind=kind)
+            m = repro.maximal_matching(lst, algorithm=alg, kind=kind).matching
             verify_maximal_matching(lst, m.tails)
 
     def test_kinds_generally_differ(self):
