@@ -300,7 +300,8 @@ def check_manifest_ledger(manifest: Path, summary: dict) -> dict:
                              + "; ".join(problems))
     return {"kind": record["kind"], "drain": extra.get("drain"),
             "served": extra.get("served"), "shed": extra.get("shed"),
-            "cache": extra.get("cache")}
+            "cache": extra.get("cache"),
+            "batch_requests": extra.get("batch_requests")}
 
 
 def main(argv=None) -> int:

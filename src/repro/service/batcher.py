@@ -10,15 +10,16 @@ Two cooperating pieces, both owned by the event loop:
     overload degrades into fast rejections instead of memory growth.
 
 :class:`MicroBatcher`
-    A single background task that pulls admitted requests and
-    coalesces them for up to ``max_batch_delay_ms`` or
-    ``max_batch_items``, then dispatches each (algorithm, backend)
+    A single background task that batches continuously, with no
+    timer: whenever compute is idle it takes everything queued (up to
+    ``max_batch_items``) and dispatches each (algorithm, backend)
     group through one
     :func:`~repro.backends.batch.batch_maximal_matching` call in a
-    worker thread — many small client lists become one arena-fused
-    batch, the throughput form the paper's batch-of-lists framing
-    suggests.  Around that call sit the robustness layers, outermost
-    first:
+    worker thread.  Requests admitted while a batch computes form the
+    next one, so batches grow with load — many small client lists
+    become one arena-fused batch, the throughput form the paper's
+    batch-of-lists framing suggests.  Around that call sit the
+    robustness layers, outermost first:
 
     - **deadlines** — requests expired while queued are answered 504
       *without computing*; an in-flight batch that outlives every
@@ -60,7 +61,7 @@ from ..parallel.executor import POOL_ERRORS
 from ..pram.cost import CostModel
 from ..telemetry.context import TraceContext, using_trace
 from ..telemetry.live import LiveAggregator, SloConfig
-from ..telemetry.metrics import METRICS
+from ..telemetry.metrics import METRICS, Histogram
 from ..telemetry.spans import (
     Span,
     enabled as telemetry_enabled,
@@ -192,9 +193,6 @@ class AdmissionQueue:
         self.picked()
         return request
 
-    def empty(self) -> bool:
-        return self._queue.empty()
-
 
 def _call_traced(ctx: TraceContext | None, fn: Callable[[], Any]) -> Any:
     """Run ``fn`` under ``ctx`` in the compute thread.
@@ -249,6 +247,8 @@ class MicroBatcher:
         #: final manifest.
         self.cost = CostModel(1)
         self.batches = 0
+        #: Requests per dispatched batch: shows whether load coalesces.
+        self.batch_requests = Histogram("service.batch.requests")
         self.nodes_served = 0
         # Per-instance lifetime counts for this server's manifest (the
         # global METRICS registry accumulates across instances).
@@ -258,6 +258,13 @@ class MicroBatcher:
         self.engine_faults = 0
         self.degraded = 0
         self.deadline_shed = 0
+
+    def batch_requests_summary(self) -> dict[str, float | None]:
+        """``{p50, p99, max}`` requests per batch, for the manifest and
+        ``/debug/vars``."""
+        q = self.batch_requests.quantiles()
+        return {"p50": q["p50"], "p99": q["p99"],
+                "max": self.batch_requests.maximum}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -292,7 +299,7 @@ class MicroBatcher:
             first = await self._next_request()
             if first is None:
                 return
-            batch = await self._gather(first)
+            batch = self._gather(first)
             await self._dispatch(batch)
 
     async def _next_request(self) -> PendingRequest | None:
@@ -322,24 +329,14 @@ class MicroBatcher:
                 pass
             # Loop once more: get_nowait flushes whatever is queued.
 
-    async def _gather(self, first: PendingRequest) -> list[PendingRequest]:
-        """Coalesce queued requests behind ``first`` for the batch window."""
-        loop = asyncio.get_running_loop()
+    def _gather(self, first: PendingRequest) -> list[PendingRequest]:
+        """``first`` plus what queued while the last batch computed, up
+        to ``max_batch_items``; never waits."""
         batch = [first]
-        window_end = loop.time() + self.config.max_batch_delay_ms / 1000.0
         while len(batch) < self.config.max_batch_items:
             request = self.admission.get_nowait()
             if request is None:
-                if self.stopping:
-                    break
-                timeout = window_end - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    request = await asyncio.wait_for(
-                        self.admission.get(), timeout)
-                except (asyncio.TimeoutError, TimeoutError):
-                    break
+                break
             batch.append(request)
         return batch
 
@@ -455,6 +452,7 @@ class MicroBatcher:
         self.batches += 1
         METRICS.counter("service.batches").inc()
         METRICS.histogram("service.batch.requests").observe(len(live))
+        self.batch_requests.observe(len(live))
         groups: dict[tuple[str, str], list[tuple[PendingRequest, Entry]]] = {}
         for request in live:
             for entry in request.entries:

@@ -6,7 +6,7 @@ can be described by a single object (it is echoed into the final
 RunRecord manifest).  The defaults suit an interactive demo; the CLI
 (``repro serve``) and the traffic benchmark override them per run.
 
-All deadlines and delays are wall-clock seconds unless the name says
+All deadlines are wall-clock seconds unless the name says
 ``_ms``; byte limits count the ``int64`` node arenas of queued lists
 (8 bytes per node), the quantity that actually bounds resident memory.
 """
@@ -45,9 +45,9 @@ class ServiceConfig:
         Admission bound on the summed node-arena bytes of queued plus
         in-compute requests (8 bytes per node).
     max_batch_items:
-        The micro-batcher dispatches once it holds this many requests.
-    max_batch_delay_ms:
-        ... or once the oldest queued request has waited this long.
+        Cap on requests per batch.  The batcher never waits to fill
+        one: whenever compute is idle it dispatches what is queued, up
+        to this many requests.
     default_deadline_ms / max_deadline_ms:
         Per-request deadline when the client sends none, and the cap
         on what a client may ask for.
@@ -83,7 +83,6 @@ class ServiceConfig:
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 << 20
     max_batch_items: int = 16
-    max_batch_delay_ms: float = 5.0
     default_deadline_ms: float = 1000.0
     max_deadline_ms: float = 30000.0
     max_request_bytes: int = 32 << 20
@@ -98,9 +97,9 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         positive = (
             "max_queue_depth", "max_inflight_bytes", "max_batch_items",
-            "max_batch_delay_ms", "default_deadline_ms", "max_deadline_ms",
-            "max_request_bytes", "retry_after_s", "drain_deadline_s",
-            "slo_p95_ms", "live_window_s",
+            "default_deadline_ms", "max_deadline_ms", "max_request_bytes",
+            "retry_after_s", "drain_deadline_s", "slo_p95_ms",
+            "live_window_s",
         )
         for name in positive:
             value = getattr(self, name)

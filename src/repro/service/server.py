@@ -308,6 +308,7 @@ class MatchingService:
                 "engine_faults": self.batcher.engine_faults,
                 "degraded": self.batcher.degraded,
                 "batches": self.batcher.batches,
+                "batch_requests": self.batcher.batch_requests_summary(),
                 "cache": self.cache.stats(),
                 "workers": cfg.workers,
                 "max_queue_depth": cfg.max_queue_depth,
@@ -455,6 +456,7 @@ class MatchingService:
             "totals": {
                 "served": self.batcher.served + self._direct_served,
                 "batches": self.batcher.batches,
+                "batch_requests": self.batcher.batch_requests_summary(),
                 "timeouts": self.batcher.timeouts,
                 "errors": self.batcher.errors,
                 "degraded": self.batcher.degraded,

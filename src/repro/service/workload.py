@@ -25,7 +25,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..backends import ALGORITHMS, DISPATCH, resolve
+from ..backends import resolve
 from ..errors import InvalidListError, InvalidParameterError, ReproError
 from ..lists import LAYOUTS
 from ..lists.linked_list import LinkedList
@@ -155,12 +155,9 @@ def parse_workload(
             "workload needs either 'next' (explicit successor array) or "
             "'n' (+ optional 'layout'/'seed' spec)"
         )
-    # A named pair passes as is (the batcher degrades one the backend
-    # does not implement); "auto" and unknown names go through resolve.
-    if algorithm not in ALGORITHMS or backend not in DISPATCH:
-        try:
-            backend = resolve(algorithm, backend, lst.n)
-        except InvalidParameterError as exc:
-            raise WorkloadError(str(exc)) from None
+    try:
+        backend = resolve(algorithm, backend, lst.n)
+    except InvalidParameterError as exc:
+        raise WorkloadError(str(exc)) from None
     return Workload(lst=lst, algorithm=algorithm, backend=backend,
                     identity=identity)

@@ -47,8 +47,8 @@ class TestSigtermDrain:
             return batch_maximal_matching(lists, **kwargs)
 
         config = ServiceConfig(
-            port=0, max_batch_items=1, max_batch_delay_ms=1.0,
-            default_deadline_ms=30000.0, drain_deadline_s=20.0,
+            port=0, max_batch_items=1, default_deadline_ms=30000.0,
+            drain_deadline_s=20.0,
             cache_size=0, manifest_path=str(manifest),
         )
         specs = [{"n": 64, "layout": "random", "seed": s} for s in range(4)]
@@ -98,8 +98,8 @@ class TestAdmissionShedding:
 
         config = ServiceConfig(
             port=0, max_queue_depth=2, max_batch_items=1,
-            max_batch_delay_ms=1.0, default_deadline_ms=30000.0,
-            drain_deadline_s=20.0, cache_size=0,
+            default_deadline_ms=30000.0, drain_deadline_s=20.0,
+            cache_size=0,
         )
 
         async def scenario(service):
@@ -150,7 +150,7 @@ class TestDeadlines:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            config = ServiceConfig(max_batch_delay_ms=1.0)
+            config = ServiceConfig()
             admission = AdmissionQueue(config)
             batcher = MicroBatcher(admission, config,
                                    batch_fn=recording_batch)
@@ -203,7 +203,7 @@ class TestDeadlines:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            config = ServiceConfig(max_batch_delay_ms=5.0)
+            config = ServiceConfig()
             admission = AdmissionQueue(config)
             batcher = MicroBatcher(admission, config, batch_fn=slow_batch)
             slow = request(loop, "match1", 30.0)
@@ -240,8 +240,8 @@ class TestDeadlines:
 
         config = ServiceConfig(
             port=0, max_queue_depth=4, max_batch_items=1,
-            max_batch_delay_ms=1.0, default_deadline_ms=30000.0,
-            drain_deadline_s=20.0, cache_size=0,
+            default_deadline_ms=30000.0, drain_deadline_s=20.0,
+            cache_size=0,
         )
 
         async def scenario(service):

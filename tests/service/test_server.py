@@ -8,7 +8,7 @@ from repro.service.client import get, post_json
 
 from .conftest import HOST, assert_bit_identical, match, run_service
 
-CFG = dict(port=0, max_batch_delay_ms=1.0, cache_size=16)
+CFG = dict(port=0, cache_size=16)
 
 
 class TestEndpoints:
@@ -114,6 +114,19 @@ class TestValidation:
 
     def test_missing_workload_400(self):
         assert self._post({"layout": "random"}).status == 400
+
+    def test_unsupported_pair_400_not_degraded(self):
+        # match2 exists, but only the reference tier implements it.
+        async def scenario(service):
+            resp = await match(service, {"n": 64, "algorithm": "match2"})
+            return resp, service.batcher.engine_faults
+
+        resp, engine_faults = run_service(ServiceConfig(**CFG), scenario)
+        assert resp.status == 400
+        error = resp.json()["error"]
+        assert "not implemented on backend 'numpy'" in error
+        assert "backends implementing it: ['reference']" in error
+        assert engine_faults == 0
 
     def test_bad_deadline_400(self):
         assert self._post({"n": 64, "deadline_ms": "soon"}).status == 400

@@ -9,10 +9,12 @@ tree — deterministically, across fresh processes — and the live
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 import repro.telemetry as telemetry
+from repro.backends.batch import batch_maximal_matching
 from repro.service import ServiceConfig
 from repro.service.client import get
 from repro.telemetry import (
@@ -23,7 +25,7 @@ from repro.telemetry import (
 
 from .conftest import HOST, match, run_service
 
-CFG = dict(port=0, max_batch_delay_ms=1.0, cache_size=16)
+CFG = dict(port=0, cache_size=16)
 
 
 def traced_requests(specs, config=None, **service_kwargs):
@@ -39,6 +41,38 @@ def traced_requests(specs, config=None, **service_kwargs):
         responses = run_service(
             ServiceConfig(**(config or CFG)), scenario, **service_kwargs)
     return responses, sink
+
+
+class Gate:
+    """A ``batch_fn`` that blocks until :meth:`open`: while a blocker
+    request holds compute, later requests queue up deterministically
+    and then leave as one batch."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def __call__(self, lists, **kwargs):
+        self.release.wait(timeout=30)
+        return batch_maximal_matching(lists, **kwargs)
+
+    def open(self):
+        self.release.set()
+
+    async def queue_behind_blocker(self, service, specs):
+        """Occupy compute with one request, fire ``specs`` into the
+        queue behind it, then open the gate; returns the responses to
+        ``specs``."""
+        blocker = asyncio.create_task(
+            match(service, {"n": 32, "seed": 99, "cache": False}))
+        while service.batcher.batches < 1:
+            await asyncio.sleep(0.005)
+        tasks = [asyncio.create_task(match(service, spec))
+                 for spec in specs]
+        while service.admission.depth < len(specs):
+            await asyncio.sleep(0.005)
+        self.open()
+        await blocker
+        return await asyncio.gather(*tasks)
 
 
 class TestTraceIds:
@@ -103,36 +137,39 @@ class TestReconstructedTree:
 
     def test_fused_batch_links_every_member(self):
         specs = [{"n": 64, "seed": s, "cache": False} for s in range(3)]
+        gate = Gate()
 
         async def scenario(service):
-            return await asyncio.gather(
-                *(match(service, spec) for spec in specs))
+            return await gate.queue_behind_blocker(service, specs)
 
-        cfg = dict(CFG, max_batch_delay_ms=50.0, max_batch_items=8)
         with telemetry.capture() as sink:
-            responses = run_service(ServiceConfig(**cfg), scenario)
+            responses = run_service(ServiceConfig(**CFG), scenario,
+                                    batch_fn=gate)
         tids = {r.json()["trace_id"] for r in responses}
+        assert len(tids) == 3
         batch_spans = [s for s in sink.spans if s.name == "service.batch"]
-        linked = {tid for s in batch_spans
-                  for tid in s.attributes.get("links", ())}
-        assert tids <= linked
+        # The three queued requests rode one fused batch whose span
+        # links all of them.
+        fused = [s for s in batch_spans
+                 if set(s.attributes.get("links", ())) >= tids]
+        assert len(fused) == 1
+        assert len(fused[0].attributes["links"]) >= 2
         # every member's reconstruction reaches the shared batch span
         for tid in tids:
             names = {s.name for s in request_trace_spans(sink.spans, tid)}
             assert "service.batch" in names
 
     def test_workers2_shard_spans_reparent_into_request(self):
-        cfg = dict(CFG, workers=2)
         specs = [{"n": 256, "seed": s, "cache": False} for s in range(4)]
+        gate = Gate()
 
         async def scenario(service):
-            return await asyncio.gather(
-                *(match(service, spec) for spec in specs))
+            return await gate.queue_behind_blocker(service, specs)
 
         with telemetry.capture() as sink:
             responses = run_service(
-                ServiceConfig(**dict(cfg, max_batch_delay_ms=50.0,
-                                     max_batch_items=8)), scenario)
+                ServiceConfig(**dict(CFG, workers=2)), scenario,
+                batch_fn=gate)
         assert all(r.status == 200 for r in responses)
         shard_spans = [s for s in sink.spans
                        if s.name.startswith("shard.")]
@@ -177,22 +214,35 @@ class TestDebugSurface:
         assert doc["service"]["draining"] is False
 
     def test_debug_vars_sees_sheds(self):
-        cfg = dict(CFG, max_queue_depth=1, max_batch_delay_ms=200.0)
+        gate = Gate()
 
         async def scenario(service):
-            await asyncio.gather(
-                *(match(service, {"n": 64, "seed": s, "cache": False})
-                  for s in range(8)))
+            # One request computes behind the gate, one fills the
+            # depth-1 queue, and the other six are shed.
+            first = asyncio.create_task(
+                match(service, {"n": 64, "seed": 0, "cache": False}))
+            while service.batcher.batches < 1:
+                await asyncio.sleep(0.005)
+            rest = [asyncio.create_task(
+                match(service, {"n": 64, "seed": s, "cache": False}))
+                for s in range(1, 8)]
+            while sum(service.admission.shed_counts.values()) < 6:
+                await asyncio.sleep(0.005)
+            gate.open()
+            await asyncio.gather(first, *rest)
             return await get(HOST, service.port, "/debug/vars")
 
-        resp = run_service(ServiceConfig(**cfg), scenario)
-        live = resp.json()["live"]
+        resp = run_service(ServiceConfig(**dict(CFG, max_queue_depth=1)),
+                           scenario, batch_fn=gate)
+        doc = resp.json()
+        live = doc["live"]
         assert live["count"] == 8
         shed = (live["by_status"].get("429", 0)
                 + live["by_status"].get("503", 0))
-        assert shed > 0
+        assert shed == 6
         assert live["rates"]["shed"] > 0
         assert live["slo"]["bad"] >= shed
+        assert doc["totals"]["batch_requests"]["max"] == 1
 
     def test_sse_stream_yields_frames(self):
         async def scenario(service):

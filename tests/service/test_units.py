@@ -1,15 +1,20 @@
-"""Unit tests: config validation, workload identity, cache, admission."""
+"""Unit tests: config validation, workload identity, cache, admission,
+and the batcher's dispatch schedule."""
 
 import asyncio
+import re
+import threading
 
 import numpy as np
 import pytest
 
 import repro
+from repro.backends.batch import batch_maximal_matching
 from repro.errors import InvalidParameterError
 from repro.service import (
     AdmissionQueue,
     Entry,
+    MicroBatcher,
     PendingRequest,
     ResponseCache,
     ServiceConfig,
@@ -29,7 +34,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_queue_depth": 0},
         {"max_batch_items": 0},
-        {"max_batch_delay_ms": -1.0},
         {"default_deadline_ms": 0.0},
         {"cache_size": -1},
         {"slo_p95_ms": 0.0},
@@ -55,7 +59,7 @@ class TestWorkload:
 
     def test_different_algorithm_different_key(self):
         a = parse_workload({"n": 64}, **PARSE)
-        b = parse_workload({"n": 64, "algorithm": "match2"}, **PARSE)
+        b = parse_workload({"n": 64, "algorithm": "match1"}, **PARSE)
         assert a.cache_key() != b.cache_key()
 
     def test_explicit_list_digest_identity(self):
@@ -67,7 +71,7 @@ class TestWorkload:
         assert np.array_equal(w.lst.next, lst.next)
 
     @pytest.mark.parametrize("body,msg", [
-        ({}, "either 'next' or 'n'"),
+        ({}, "workload needs either 'next' (explicit successor array) or 'n'"),
         ({"n": 0}, "'n' must be in"),
         ({"n": 64, "layout": "nope"}, "unknown layout"),
         ({"n": 64, "algorithm": "nope"}, "unknown algorithm"),
@@ -78,7 +82,7 @@ class TestWorkload:
         ({"n": 64, "algorithm": ["match4"]}, "must be strings"),
     ])
     def test_malformed_rejected(self, body, msg):
-        with pytest.raises(WorkloadError):
+        with pytest.raises(WorkloadError, match=re.escape(msg)):
             parse_workload(body, **PARSE)
 
 
@@ -170,3 +174,51 @@ class TestAdmission:
             assert admission.inflight_bytes == 0
 
         asyncio.run(scenario())
+
+
+class TestContinuousBatching:
+    def test_dispatch_when_idle_next_batch_is_what_queued(self):
+        """A lone request computes at once; what is admitted while it
+        computes is the next batch, capped at ``max_batch_items``."""
+        release = threading.Event()
+        calls = []
+
+        def gated_batch(lists, **kwargs):
+            calls.append([lst.n for lst in lists])
+            release.wait(timeout=30)
+            return batch_maximal_matching(lists, **kwargs)
+
+        def request(loop, n):
+            return _request(loop, [parse_workload({"n": n}, **PARSE)])
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            config = ServiceConfig(max_batch_items=3)
+            admission = AdmissionQueue(config)
+            batcher = MicroBatcher(admission, config, batch_fn=gated_batch)
+            task = asyncio.create_task(batcher.run())
+            lone = request(loop, 32)
+            assert admission.try_admit(lone) is None
+            # No timer stands between admission and dispatch: a few
+            # zero-length yields of the event loop suffice.
+            for _ in range(20):
+                if batcher.batches:
+                    break
+                await asyncio.sleep(0)
+            dispatched_at_once = batcher.batches == 1
+            # Admitted while the lone call is blocked in compute.
+            later = [request(loop, 40 + i) for i in range(4)]
+            for r in later:
+                assert admission.try_admit(r) is None
+            release.set()
+            await asyncio.gather(*(r.future for r in (lone, *later)))
+            batcher.stop()
+            await task
+            batcher.shutdown_executor()
+            return dispatched_at_once, batcher
+
+        dispatched_at_once, batcher = asyncio.run(scenario())
+        assert dispatched_at_once
+        assert calls == [[32], [40, 41, 42], [43]]
+        assert batcher.batch_requests_summary() == {
+            "p50": 1.0, "p99": 3.0, "max": 3.0}

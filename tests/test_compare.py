@@ -230,6 +230,60 @@ class TestServiceRecords:
         assert compare_mod.main([base, cur, "--ignore-wallclock"]) == 1
 
 
+def _without_kind(rec):
+    rec = dict(rec)
+    del rec["kind"]
+    return rec
+
+
+_CACHE = {"hits": 4, "misses": 6, "evictions": 0}
+_CACHE_REORDERED = {"evictions": 0, "misses": 6, "hits": 4}
+
+#: ``(a, b, same workload?)``: one row per identity rule.
+_KEY_PAIRS = [
+    pytest.param(_record(extra={"cache": _CACHE}),
+                 _record(extra={"cache": _CACHE_REORDERED}), True,
+                 id="dict-extra-key-order"),
+    pytest.param(_record(extra={"cache": _CACHE}),
+                 _record(extra={"cache": {**_CACHE, "hits": 5}}), False,
+                 id="dict-extra-value"),
+    pytest.param(_record(extra={"sizes": [64, 256]}),
+                 _record(extra={"sizes": [64, 256]}), True,
+                 id="list-extra"),
+    pytest.param(_record(extra={"sizes": [64, 256]}),
+                 _record(extra={"sizes": [256, 64]}), False,
+                 id="list-extra-order"),
+    pytest.param(_record(extra={"layout": "random"}),
+                 _record(extra={"layout": "random",
+                                "resources": {"peak_alloc_b": 1}}), True,
+                 id="resources-excluded"),
+    pytest.param(_record(seed=None), _record(seed=None), True,
+                 id="seed-none"),
+    pytest.param(_record(seed=None), _record(seed=0), False,
+                 id="seed-none-vs-0"),
+    pytest.param(_without_kind(_record()), _record(), True,
+                 id="kind-omitted"),
+    pytest.param(_without_kind(_record()),
+                 {**_record(), "kind": "service"}, False,
+                 id="kind-omitted-vs-service"),
+]
+
+
+class TestKeyParity:
+    """``compare.py`` stays stdlib-only, so it restates
+    :meth:`RunRecord.key`; this pins the two to the same pairing."""
+
+    @pytest.mark.parametrize("a,b,same", _KEY_PAIRS)
+    def test_record_key_matches_runrecord_key(self, compare_mod, a, b,
+                                              same):
+        from repro.telemetry.runrecord import RunRecord
+
+        script = [compare_mod._record_key(r) for r in (a, b)]
+        library = [RunRecord.from_dict(r).key() for r in (a, b)]
+        assert script == library
+        assert (script[0] == script[1]) is same
+
+
 class TestPeakAlloc:
     """The peak_alloc_b column from embedded resource accounts."""
 
